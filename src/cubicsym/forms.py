@@ -52,7 +52,7 @@ def parse_scalar(value):
     """Parse an exact rational from an int, Fraction or 'p/q' string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -190,9 +190,13 @@ class Mat3:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, list) or len(data) != 3:
+        if (not isinstance(data, list) or len(data) != 3
+                or any(not isinstance(row, list) or len(row) != 3 for row in data)):
             raise ValueError("matrix JSON must be a 3x3 array")
-        return cls(tuple(tuple(parse_scalar(v) for v in row) for row in data))
+        try:
+            return cls(tuple(tuple(parse_scalar(v) for v in row) for row in data))
+        except TypeError as exc:
+            raise ValueError(f"bad matrix entry: {exc}") from exc
 
     def __repr__(self):
         return "Mat3([" + ", ".join("[" + ", ".join(format_scalar(v) for v in row) + "]"
@@ -347,6 +351,15 @@ def tau0_upper_bound(form, radius):
     realizing the bound.  The result upper-bounds the exact affine type and is
     non-increasing in the radius; the identity frame is always considered, so
     the bound never exceeds the current affine type.
+
+    Frames are column triples a < b < c of canonical columns.  Nine of the ten
+    pulled-back components have the shape G(u,u,v): A1..A3 = Q[x][x],
+    C1 = Q[a][b], C2 = Q[a][c], C3 = Q[b][c], B1 = Q[b][a], B2 = Q[c][a] and
+    B3 = Q[c][b], with Q[u][v] = G(u,u,v) tabulated once per call.  Only
+    F = G(a,b,c) is computed per triple.  A column pair whose known nonzero
+    count already reaches the best bound is skipped with all its triples, and
+    the determinant is evaluated only for a triple that would improve the
+    bound, so the first strictly improving frame in enumeration order wins.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -356,43 +369,49 @@ def tau0_upper_bound(form, radius):
     if best == floor:
         return best, witness
     comp = _int_components(form)
-    nz = [(t, c) for t, c in comp.items() if c != 0]
+    tensor = [[[comp[tuple(sorted((d, e, f)))] for f in (1, 2, 3)]
+               for e in (1, 2, 3)] for d in (1, 2, 3)]
     cols = _canonical_columns(radius)
     ncols = len(cols)
+    # slices[u][e][f] = G(u, e, f) and quad[u][f] = G(u, u, f)
+    slices = [[[u[0] * tensor[0][e][f] + u[1] * tensor[1][e][f] + u[2] * tensor[2][e][f]
+                for f in range(3)] for e in range(3)] for u in cols]
+    quad = [[u[0] * m[0][f] + u[1] * m[1][f] + u[2] * m[2][f] for f in range(3)]
+            for u, m in zip(cols, slices)]
+    # nz[u][v] = 1 when Q[u][v] = G(u, u, v) is nonzero; nzt is its transpose
+    nz = [[int(q[0] * v[0] + q[1] * v[1] + q[2] * v[2] != 0) for v in cols] for q in quad]
+    nzt = [list(row) for row in zip(*nz)]
+    diag = [nz[i][i] for i in range(ncols)]
     for ia in range(ncols):
-        ca = cols[ia]
+        ca, ma, nza, nzta = cols[ia], slices[ia], nz[ia], nzt[ia]
+        count_a = diag[ia]                                   # A1
         for ib in range(ia + 1, ncols):
-            cb = cols[ib]
+            count_ab = count_a + diag[ib] + nza[ib] + nzta[ib]    # A2, C1, B1
+            if count_ab >= best:
+                continue
+            cb, nzb, nztb = cols[ib], nz[ib], nzt[ib]
+            # G(a, b, .) and a x b, once per pair
+            f0, f1, f2 = (ma[0][f] * cb[0] + ma[1][f] * cb[1] + ma[2][f] * cb[2]
+                          for f in range(3))
+            x0 = ca[1] * cb[2] - ca[2] * cb[1]
+            x1 = ca[2] * cb[0] - ca[0] * cb[2]
+            x2 = ca[0] * cb[1] - ca[1] * cb[0]
             for ic in range(ib + 1, ncols):
-                cc = cols[ic]
-                det = (ca[0] * (cb[1] * cc[2] - cb[2] * cc[1])
-                       - cb[0] * (ca[1] * cc[2] - ca[2] * cc[1])
-                       + cc[0] * (ca[1] * cb[2] - ca[2] * cb[1]))
-                if det == 0:
+                # A3, C2, B2, C3, B3
+                count = count_ab + diag[ic] + nza[ic] + nzta[ic] + nzb[ic] + nztb[ic]
+                if count >= best:
                     continue
-                columns = (ca, cb, cc)
-                count = 0
-                for (a, b, c) in SORTED_TRIPLES:
-                    va, vb, vc = columns[a - 1], columns[b - 1], columns[c - 1]
-                    total = 0
-                    for (d, e, f), g in nz:
-                        s = va[d - 1] * vb[e - 1] * vc[f - 1]
-                        if d != e or e != f:
-                            s += va[d - 1] * vb[f - 1] * vc[e - 1]
-                            s += va[e - 1] * vb[d - 1] * vc[f - 1]
-                            s += va[e - 1] * vb[f - 1] * vc[d - 1]
-                            s += va[f - 1] * vb[d - 1] * vc[e - 1]
-                            s += va[f - 1] * vb[e - 1] * vc[d - 1]
-                            if d == e or e == f:
-                                s //= 2
-                        total += g * s
-                    if total != 0:
-                        count += 1
-                        if count >= best:
-                            break
-                if count < best:
-                    best = count
-                    witness = Mat3(tuple(zip(*columns)))
-                    if best == floor:
-                        return best, witness
+                cc = cols[ic]
+                if f0 * cc[0] + f1 * cc[1] + f2 * cc[2] != 0:     # F
+                    count += 1
+                    if count >= best:
+                        continue
+                if x0 * cc[0] + x1 * cc[1] + x2 * cc[2] == 0:
+                    continue
+                best = count
+                witness = Mat3(tuple(zip(ca, cb, cc)))
+                if best == floor:
+                    return best, witness
+                if count_ab >= best:
+                    break
     return best, witness

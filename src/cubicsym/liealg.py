@@ -8,6 +8,7 @@ this convention gives bracket(X1, X2) = (3/2) X2.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .forms import Mat3, format_scalar
 from .linalg import coordinates_in_span, echelon_basis, in_span, rank
@@ -129,11 +130,17 @@ def _nth_root(x, n):
     def iroot(m):
         if m in (0, 1):
             return m
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
+        if n == 2:
+            r = isqrt(m)
+        else:
+            # integer Newton iteration from above ends at the floor of the root
+            r = 1 << -(-m.bit_length() // n)
+            while True:
+                s = ((n - 1) * r + m // r ** (n - 1)) // n
+                if s >= r:
+                    break
+                r = s
+        return r if r ** n == m else None
 
     rn, rd = iroot(num), iroot(den)
     if rn is None or rd is None:

@@ -114,6 +114,25 @@ def test_malformed_form_reports_key(files, capsys):
     assert "Q9" in err
 
 
+def test_matrix_with_flat_row_is_an_input_error(files, capsys):
+    form = files("g.json", {"F": 1})
+    flat = files("t.json", [1, 2, 3])
+    code, out, err = run(capsys, "transform", "--form", form, "--matrix", flat)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "3x3" in err
+
+
+def test_boolean_component_is_an_input_error(files, capsys):
+    bad = files("bool.json", {"F": True})
+    code, out, err = run(capsys, "classify", "--form", bad)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'F'" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "classify", "--form", "/nonexistent/g.json")
     assert code == 1

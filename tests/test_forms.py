@@ -8,7 +8,8 @@ import pytest
 
 from cubicsym import CubicForm, Mat3, SingularTransformError, form_of, \
     symmetrized_monomial, tau0_upper_bound
-from cubicsym.forms import COMPONENT_NAMES, TRIPLE_TO_NAME
+from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, \
+    _canonical_columns, _int_components, parse_scalar
 from cubicsym.properties import random_form, random_invertible, random_vec
 
 
@@ -177,6 +178,72 @@ def test_tau0_rejects_bad_radius():
         tau0_upper_bound(form_of(F=1), 0)
 
 
+def tau0_brute_force(form, radius):
+    # reference search: every column triple in enumeration order, all ten
+    # components by polarization, the first strict improvement wins
+    best = form.affine_type()
+    witness = Mat3.identity()
+    floor = 0 if best == 0 else 1
+    if best == floor:
+        return best, witness
+    nz = [(t, c) for t, c in _int_components(form).items() if c != 0]
+    cols = _canonical_columns(radius)
+    ncols = len(cols)
+    for ia in range(ncols):
+        ca = cols[ia]
+        for ib in range(ia + 1, ncols):
+            cb = cols[ib]
+            for ic in range(ib + 1, ncols):
+                cc = cols[ic]
+                det = (ca[0] * (cb[1] * cc[2] - cb[2] * cc[1])
+                       - cb[0] * (ca[1] * cc[2] - ca[2] * cc[1])
+                       + cc[0] * (ca[1] * cb[2] - ca[2] * cb[1]))
+                if det == 0:
+                    continue
+                columns = (ca, cb, cc)
+                count = 0
+                for (a, b, c) in SORTED_TRIPLES:
+                    va, vb, vc = columns[a - 1], columns[b - 1], columns[c - 1]
+                    total = 0
+                    for (d, e, f), g in nz:
+                        s = va[d - 1] * vb[e - 1] * vc[f - 1]
+                        if d != e or e != f:
+                            s += va[d - 1] * vb[f - 1] * vc[e - 1]
+                            s += va[e - 1] * vb[d - 1] * vc[f - 1]
+                            s += va[e - 1] * vb[f - 1] * vc[d - 1]
+                            s += va[f - 1] * vb[d - 1] * vc[e - 1]
+                            s += va[f - 1] * vb[e - 1] * vc[d - 1]
+                            if d == e or e == f:
+                                s //= 2
+                        total += g * s
+                    if total != 0:
+                        count += 1
+                        if count >= best:
+                            break
+                if count < best:
+                    best = count
+                    witness = Mat3(tuple(zip(*columns)))
+                    if best == floor:
+                        return best, witness
+    return best, witness
+
+
+def test_tau0_matches_brute_force_at_radius_1():
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_form(rng)
+        assert tau0_upper_bound(g, 1) == tau0_brute_force(g, 1)
+
+
+def test_tau0_matches_brute_force_at_radius_2():
+    rng = random.Random(0)
+    forms = [form_of(**{n: rng.choice((-1, 1)) for n in rng.sample(COMPONENT_NAMES, t)})
+             for t in range(2, 11)]
+    forms.append(form_of(A1=1, A2=1, A3=1, F=Fraction(-1, 2)))
+    for g in forms:
+        assert tau0_upper_bound(g, 2) == tau0_brute_force(g, 2)
+
+
 def test_json_round_trip():
     rng = random.Random(29)
     for _ in range(30):
@@ -192,6 +259,21 @@ def test_json_rejects_unknown_key():
         CubicForm.from_json({"A7": 1})
     with pytest.raises(ValueError, match="B1"):
         CubicForm.from_json({"B1": "not-a-number"})
+
+
+def test_json_rejects_booleans():
+    with pytest.raises(TypeError):
+        parse_scalar(True)
+    with pytest.raises(ValueError, match="F"):
+        CubicForm.from_json({"F": True})
+
+
+def test_mat3_json_checks_row_shape():
+    assert Mat3.from_json([[1, 0, 0], [0, 1, 0], [0, 0, "1/2"]]) == Mat3.diag(1, 1, Fraction(1, 2))
+    for bad in ([1, 2, 3], [[1, 0, 0], [0, 1], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], "001"],
+                [[1, 0, 0], [0, 1, 0], [0, 0, None]], [[True, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError):
+            Mat3.from_json(bad)
 
 
 def test_scaling_and_addition_are_componentwise():

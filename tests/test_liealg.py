@@ -7,7 +7,7 @@ import pytest
 
 from cubicsym import Mat3, bracket, colinearity, derived_algebra, form_of, \
     invariants, is_abelian, solvable_pair, solve, structure_constants
-from cubicsym.liealg import DependentBasisError, NotClosedError
+from cubicsym.liealg import DependentBasisError, NotClosedError, _nth_root
 from cubicsym.properties import random_matrix
 
 
@@ -163,6 +163,21 @@ def test_colinearity_irrational_real_scale():
     assert verdict.kind == "real"
     assert verdict.C_squared == 3
     assert verdict.C is None
+
+
+def test_nth_root_is_exact_for_huge_powers():
+    assert _nth_root(Fraction(10**400), 2) == 10**200
+    assert _nth_root(Fraction(3**600), 3) == 3**200
+    assert _nth_root(Fraction(-(7**300), 2**90), 5) == Fraction(-(7**60), 2**18)
+    assert _nth_root(Fraction(9, 4), 2) == Fraction(3, 2)
+
+
+def test_nth_root_rejects_non_powers():
+    assert _nth_root(Fraction(2), 2) is None
+    assert _nth_root(Fraction(2), 3) is None
+    assert _nth_root(Fraction(10**400 + 1), 2) is None
+    assert _nth_root(Fraction(3**600 - 1), 3) is None
+    assert _nth_root(Fraction(-4), 2) is None
 
 
 def test_solvable_pair_requires_nonabelian():
