@@ -6,9 +6,11 @@ affine type tau = 1..6), and the 14 canonical classes of the real projective
 classification of cubic forms.  Each affine entry records, as reference
 data: the component recipe (possibly parametric, with sign parameters eps
 in {+1,-1} and rational parameters), the transcribed generator fields, the
-transcribed invariant matrix for the 1-dimensional cases, the closed-form
-invariant series, a recorded dimension claim and the symmetry class every
-branch should land in.
+closed-form invariant series of the 1-dimensional cases, a recorded
+dimension claim and the symmetry class label every branch should land in.
+The expected dimensions of a branch follow from its class (CLASS_SHAPES in
+cubicsym.classify).  The invariant matrix the series is taken from is the
+first generator field unless the entry records one that differs from it.
 
 verify_entry / verify_all recompute everything from scratch with the exact
 solver and report every disagreement between recorded and computed values.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .classify import classify
+from .classify import CLASS_SHAPES, classify
 from .forms import Mat3, form_of, scalar_to_json
 # solve is not called here, but perfbench/run.py traces catalog.solve by name
 from .killing import solve, verify_killing  # noqa: F401
@@ -50,6 +52,10 @@ class Expected:
     infinite: bool
     label: str
 
+    @classmethod
+    def of(cls, label):
+        return cls(*CLASS_SHAPES[label], label)
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -68,13 +74,22 @@ class CatalogEntry:
     params: tuple
     build: object              # params -> CubicForm
     generators: object         # params -> [Mat3] transcribed generator fields
-    inv_matrix: object | None  # params -> Mat3 transcribed invariant matrix
-    series: object | None      # params -> ([I1..I6], Delta) closed form
-    series_tag: str | None
     claimed_dim: str
-    expected: object           # params -> Expected
+    expected: object           # class label, or params -> class label
+    series: object = None      # params -> ([I1..I6], Delta) closed form
+    series_tag: str | None = None
+    inv_matrix: object = None  # params -> Mat3; defaults to the first field
     extra_branches: tuple = () # (label, overrides, claim, tau_override)
     notes: tuple = ()
+
+    def __post_init__(self):
+        if self.series is not None and self.inv_matrix is None:
+            generators = self.generators
+            object.__setattr__(self, "inv_matrix", lambda p: generators(p)[0])
+
+    def expected_at(self, params):
+        label = self.expected(params) if callable(self.expected) else self.expected
+        return Expected.of(label)
 
     def defaults(self):
         return {p.name: p.default for p in self.params}
@@ -113,14 +128,14 @@ class CatalogEntry:
                 label = ",".join(f"{p.name}={'+1' if v == 1 else '-1'}"
                                  for p, v in zip(signs, combo))
                 out.append(Branch(label or "default", params, self.claimed_dim,
-                                  self.expected(params), self.tau))
+                                  self.expected_at(params), self.tau))
         else:
             params = self.resolve_params()
             out.append(Branch("default", params, self.claimed_dim,
-                              self.expected(params), self.tau))
+                              self.expected_at(params), self.tau))
         for label, overrides, claim, tau_override in self.extra_branches:
             params = self.resolve_params(overrides)
-            out.append(Branch(label, params, claim, self.expected(params),
+            out.append(Branch(label, params, claim, self.expected_at(params),
                               tau_override if tau_override is not None else self.tau,
                               boundary=True))
         return out
@@ -150,28 +165,15 @@ def _even_series(c):
     return [Fraction(0), 2 * c, Fraction(0), 2 * c ** 2, Fraction(0), 2 * c ** 3], Fraction(0)
 
 
-def _exp(finite, infinite, label):
-    return Expected(finite, infinite, label)
-
-
 HALF = Fraction(1, 2)
 
 
-def _expected_const(finite, infinite, label):
-    exp = Expected(finite, infinite, label)
-    return lambda p: exp
-
-
-def _by_sign(quantity_fn, boundary_expected=None):
+def _by_sign(quantity_fn, boundary=None):
     """Class 5 when the invariant scale is positive, 6 when negative,
-    boundary_expected at zero."""
+    boundary at zero."""
     def expected(p):
         q = quantity_fn(p)
-        if q > 0:
-            return Expected(1, False, "5")
-        if q < 0:
-            return Expected(1, False, "6")
-        return boundary_expected(p) if callable(boundary_expected) else boundary_expected
+        return "5" if q > 0 else "6" if q < 0 else boundary
     return expected
 
 
@@ -190,28 +192,25 @@ _entry(
     id="1.1", tau=1, params=(),
     build=lambda p: form_of(F=1),
     generators=lambda p: [Mat3.diag(1, -1, 0), Mat3.diag(1, 0, -1)],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="2",
-    expected=_expected_const(2, False, "1"),
+    expected="1",
 )
 
 _entry(
     id="1.2", tau=1, params=(),
     build=lambda p: form_of(B1=1),
     generators=lambda p: [Mat3.diag(-2, 1, 0)],
-    inv_matrix=lambda p: Mat3.diag(-2, 1, 0),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="inf+1",
-    expected=_expected_const(1, True, "3(3)"),
+    expected="3(3)",
 )
 
 _entry(
     id="1.3", tau=1, params=(),
     build=lambda p: form_of(A1=1),
     generators=lambda p: [],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="inf^2",
-    expected=_expected_const(0, True, "3(1)"),
+    expected="3(1)",
 )
 
 # ---------------------------------------------------------------- tau = 2
@@ -220,10 +219,9 @@ _entry(
     id="2.1", tau=2, params=(),
     build=lambda p: form_of(A1=1, F=1),
     generators=lambda p: [Mat3.diag(0, 1, -1)],
-    inv_matrix=lambda p: Mat3.diag(0, 1, -1),
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "5"),
+    expected="5",
 )
 
 _entry(
@@ -231,29 +229,26 @@ _entry(
     build=lambda p: form_of(B1=1, F=1),
     generators=lambda p: [mat([[1, 0, 0], [0, 0, 0], [0, -HALF, -1]]),
                           mat([[0, 0, 0], [0, 1, 0], [0, -1, -1]])],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="2",
-    expected=_expected_const(2, False, "1"),
+    expected="1",
 )
 
 _entry(
     id="2.3", tau=2, params=(),
     build=lambda p: form_of(A1=1, B3=1),
     generators=lambda p: [Mat3.diag(0, 1, -HALF)],
-    inv_matrix=lambda p: Mat3.diag(0, 1, -HALF),
     series=lambda p: _pow_series(Fraction(-1, 2)), series_tag="(1+(-2)^n)/(-2)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "4"),
+    expected="4",
 )
 
 _entry(
     id="2.4", tau=2, params=(),
     build=lambda p: form_of(A1=1, C1=1),
     generators=lambda p: [mat([[1, 0, 0], [-1, -2, 0], [0, 0, 0]])],
-    inv_matrix=lambda p: mat([[1, 0, 0], [-1, -2, 0], [0, 0, 0]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
-    expected=_expected_const(1, True, "3(3)"),
+    expected="3(3)",
     notes=("the metric does not involve the third coordinate, so arbitrary "
            "functions times its coordinate field are isometries: the computed "
            "algebra is infinite plus the recorded 1-dimensional part",),
@@ -263,9 +258,8 @@ _entry(
     id="2.5", tau=2, params=(sign("eps"),),
     build=lambda p: form_of(B1=1, B2=p["eps"]),
     generators=lambda p: [Mat3.diag(1, -HALF, -HALF)],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="1",
-    expected=_expected_const(2, False, "1"),
+    expected="1",
     notes=("recorded dimension 1 conflicts with the computed 2-dimensional "
            "abelian algebra; the extra generator rotates the degenerate plane",),
 )
@@ -275,9 +269,8 @@ _entry(
     build=lambda p: form_of(B1=1, B3=1),
     generators=lambda p: [Mat3.diag(-2, 1, -HALF),
                           mat([[0, 0, 1], [0, 0, 0], [0, -HALF, 0]])],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="1",
-    expected=_expected_const(2, False, "2"),
+    expected="2",
     notes=("recorded dimension 1 conflicts with the two recorded generators "
            "and the computed 2-dimensional nonabelian algebra",),
 )
@@ -286,27 +279,24 @@ _entry(
     id="2.7", tau=2, params=(),
     build=lambda p: form_of(B1=1, C3=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-2, 0, -2]])],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="inf+1",
-    expected=_expected_const(1, True, "3(3)"),
+    expected="3(3)",
 )
 
 _entry(
     id="2.8", tau=2, params=(),
     build=lambda p: form_of(A1=1, A2=1),
     generators=lambda p: [],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="inf",
-    expected=_expected_const(0, True, "3(2)"),
+    expected="3(2)",
 )
 
 _entry(
     id="2.9", tau=2, params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"]),
     generators=lambda p: [],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="inf",
-    expected=_expected_const(0, True, "3(2)"),
+    expected="3(2)",
 )
 
 # ---------------------------------------------------------------- tau = 3
@@ -315,20 +305,18 @@ _entry(
     id="3.1", tau=3, params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"], F=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [0, -p["eps"], -1]])],
-    inv_matrix=lambda p: mat([[0, 0, 0], [0, 1, 0], [0, -p["eps"], -1]]),
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "5"),
+    expected="5",
 )
 
 _entry(
     id="3.2", tau=3, params=(),
     build=lambda p: form_of(A1=1, C1=1, F=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-HALF, 0, -1]])],
-    inv_matrix=lambda p: mat([[0, 0, 0], [0, 1, 0], [-HALF, 0, -1]]),
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "5"),
+    expected="5",
 )
 
 _entry(
@@ -336,10 +324,8 @@ _entry(
     build=lambda p: form_of(B1=1, B2=p["eps"], F=1),
     generators=lambda p: [mat([[1, 0, 0], [0, 0, p["eps"] / 2], [0, -HALF, -1]]),
                           mat([[0, 0, 0], [0, 1, p["eps"]], [0, -1, -1]])],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="2",
-    expected=lambda p: (_exp(1, True, "3(3)") if p["eps"] == 1
-                        else _exp(2, False, "1")),
+    expected=lambda p: "3(3)" if p["eps"] == 1 else "1",
     notes=("on the eps=+1 branch the quadratic factor is a perfect square, "
            "the radical becomes 1-dimensional and the second recorded "
            "generator collapses into the arbitrary-function family: the "
@@ -350,10 +336,9 @@ _entry(
     id="3.4", tau=3, params=(),
     build=lambda p: form_of(B1=1, B3=1, F=1),
     generators=lambda p: [mat([[1, 0, 1], [0, 0, 0], [0, -HALF, -1]])],
-    inv_matrix=lambda p: mat([[1, 0, 1], [0, 0, 0], [0, -HALF, -1]]),
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "5"),
+    expected="5",
 )
 
 _entry(
@@ -361,9 +346,8 @@ _entry(
     build=lambda p: form_of(B1=1, C1=1, F=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [0, -1, -1]]),
                           mat([[1, 0, 0], [0, 0, 0], [-1, -HALF, -1]])],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="2",
-    expected=_expected_const(2, False, "1"),
+    expected="1",
     notes=("the first recorded generator is missing a -x1/2 contribution in "
            "its third component and fails the isometry check as written",),
 )
@@ -372,27 +356,24 @@ _entry(
     id="3.6", tau=3, params=(),
     build=lambda p: form_of(B1=1, C3=1, F=1),
     generators=lambda p: [mat([[-1, -HALF, 0], [0, 0, 0], [0, HALF, 1]])],
-    inv_matrix=lambda p: mat([[-1, -HALF, 0], [0, 0, 0], [0, HALF, 1]]),
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "5"),
+    expected="5",
 )
 
 _entry(
     id="3.7", tau=3, params=(),
     build=lambda p: form_of(A1=1, A2=1, C2=1),
     generators=lambda p: [mat([[1, 0, 0], [0, 0, 0], [-1, 0, -2]])],
-    inv_matrix=lambda p: mat([[1, 0, 0], [0, 0, 0], [-1, 0, -2]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "4"),
+    expected="4",
 )
 
 _entry(
     id="3.8", tau=3, params=(sign("eps1"), sign("eps2")),
     build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"]),
     generators=lambda p: [mat([[0, 0, 0], [0, 0, 1], [0, -p["eps1"] * p["eps2"], 0]])],
-    inv_matrix=lambda p: mat([[0, 0, 0], [0, 0, 1], [0, -p["eps1"] * p["eps2"], 0]]),
     series=lambda p: _even_series(-p["eps1"] * p["eps2"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-eps1*eps2",
     claimed_dim="1",
@@ -404,9 +385,8 @@ _entry(
     build=lambda p: form_of(A1=1, B1=p["eps"], C2=1),
     generators=lambda p: [Mat3.diag(1, -HALF, -2),
                           mat([[0, 0, 0], [-p["eps"] / 2, 0, 0], [0, 1, 0]])],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="2",
-    expected=_expected_const(2, False, "2"),
+    expected="2",
     notes=("the first recorded generator misses a -x1 contribution in its "
            "third component and fails the isometry check as written; the "
            "corrected field still brackets to (3/2) times the second",),
@@ -416,10 +396,9 @@ _entry(
     id="3.10", tau=3, params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"], C3=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-2 * p["eps"], 0, -2]])],
-    inv_matrix=lambda p: mat([[0, 0, 0], [0, 1, 0], [-2 * p["eps"], 0, -2]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "4"),
+    expected="4",
 )
 
 _entry(
@@ -440,11 +419,10 @@ _entry(
     id="3.12", tau=3, params=(),
     build=lambda p: form_of(B1=1, B3=1, C1=1),
     generators=lambda p: [mat([[0, 0, 1], [0, 0, 0], [-1, -HALF, 0]])],
-    inv_matrix=lambda p: mat([[0, 0, 1], [0, 0, 0], [-1, -HALF, 0]]),
     series=lambda p: _even_series(-1),
     series_tag="(-1)^(n/2)(1+(-1)^n)",
     claimed_dim="1",
-    expected=_expected_const(1, False, "6"),
+    expected="6",
 )
 
 _entry(
@@ -452,9 +430,8 @@ _entry(
     build=lambda p: form_of(B1=1, B3=p["eps"], C3=1),
     generators=lambda p: [mat([[-2, 0, Fraction(-3, 2)], [0, 1, 0], [0, 0, -HALF]]),
                           mat([[0, -1, -2 * p["eps"]], [0, 0, 0], [0, 1, 0]])],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="2",
-    expected=_expected_const(2, False, "2"),
+    expected="2",
 )
 
 # ---------------------------------------------------------------- tau = 4
@@ -465,14 +442,11 @@ _entry(
     generators=lambda p: [mat([[0, 0, 0],
                                [0, p["eps2"] * p["F"], 1],
                                [0, -p["eps1"] * p["eps2"], -p["eps2"] * p["F"]]])],
-    inv_matrix=lambda p: mat([[0, 0, 0],
-                              [0, p["eps2"] * p["F"], 1],
-                              [0, -p["eps1"] * p["eps2"], -p["eps2"] * p["F"]]]),
     series=lambda p: _even_series(p["F"] ** 2 - p["eps1"] * p["eps2"]),
     series_tag="c^(n/2)(1+(-1)^n), c=F^2-eps1*eps2",
     claimed_dim="1",
     expected=_by_sign(lambda p: p["F"] ** 2 - p["eps1"] * p["eps2"],
-                      boundary_expected=lambda p: _exp(0, True, "3(2)")),
+                      boundary="3(2)"),
     extra_branches=(
         ("F=1/2,eps1=+1,eps2=+1", {"F": HALF, "eps1": 1, "eps2": 1}, "1", None),
         ("F=1/2,eps1=-1,eps2=-1", {"F": HALF, "eps1": -1, "eps2": -1}, "1", None),
@@ -487,12 +461,9 @@ _entry(
     generators=lambda p: [mat([[0, 0, 0],
                                [-1 / (2 * p["F"]), -1, 0],
                                [0, p["eps"] / p["F"], 1]])],
-    inv_matrix=lambda p: mat([[0, 0, 0],
-                              [-1 / (2 * p["F"]), -1, 0],
-                              [0, p["eps"] / p["F"], 1]]),
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "5"),
+    expected="5",
 )
 
 _entry(
@@ -501,14 +472,11 @@ _entry(
     generators=lambda p: [mat([[0, 0, 0],
                                [-p["eps"] / 2, -p["eps"] * p["F"], -p["eps"]],
                                [0, 1, p["eps"] * p["F"]]])],
-    inv_matrix=lambda p: mat([[0, 0, 0],
-                              [-p["eps"] / 2, -p["eps"] * p["F"], -p["eps"]],
-                              [0, 1, p["eps"] * p["F"]]]),
     series=lambda p: _even_series(p["F"] ** 2 - p["eps"]),
     series_tag="c^(n/2)(1+(-1)^n), c=F^2-eps",
     claimed_dim="1",
     expected=_by_sign(lambda p: p["F"] ** 2 - p["eps"],
-                      boundary_expected=lambda p: _exp(2, False, "2")),
+                      boundary="2"),
     extra_branches=(
         ("F=1/2,eps=+1", {"F": HALF, "eps": 1}, "1", None),
         ("F^2=1,eps=+1", {"F": 1, "eps": 1}, "2", None),
@@ -521,12 +489,9 @@ _entry(
     generators=lambda p: [mat([[1, 0, 1 / (2 * p["F"])],
                                [-1 / p["F"], -1, -1 / (2 * p["F"])],
                                [0, 0, 0]])],
-    inv_matrix=lambda p: mat([[1, 0, 1 / (2 * p["F"])],
-                              [-1 / p["F"], -1, -1 / (2 * p["F"])],
-                              [0, 0, 0]]),
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "5"),
+    expected="5",
 )
 
 _entry(
@@ -536,7 +501,7 @@ _entry(
     inv_matrix=lambda p: mat([[1, 0, 0], [-p["B"], 0, 0], [0, 2 * p["B"] ** 2, -2]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "4"),
+    expected="4",
     notes=("the recorded invariant matrix drops the -1 entry in position "
            "(3,1) that the recorded generator field carries; only the field "
            "satisfies the isometry equation (their invariants coincide)",),
@@ -549,7 +514,7 @@ _entry(
     inv_matrix=lambda p: mat([[0, 0, 0], [0, 1, 0], [2 * p["B"], 1, -2]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "4"),
+    expected="4",
     notes=("the recorded invariant matrix flips the signs of the first two "
            "entries of the third row relative to the recorded generator "
            "field; only the field satisfies the isometry equation",),
@@ -561,9 +526,6 @@ _entry(
     generators=lambda p: [mat([[0, 0, 0],
                                [0, 0, 1],
                                [-p["eps2"] * p["C"] / 2, -p["eps1"] * p["eps2"], 0]])],
-    inv_matrix=lambda p: mat([[0, 0, 0],
-                              [0, 0, 1],
-                              [-p["eps2"] * p["C"] / 2, -p["eps1"] * p["eps2"], 0]]),
     series=lambda p: _even_series(-p["eps1"] * p["eps2"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-eps1*eps2",
     claimed_dim="1",
@@ -576,12 +538,9 @@ _entry(
     generators=lambda p: [mat([[0, 0, -p["C"]],
                                [2 * (p["C"] ** 2 - p["eps"]), -2, p["eps"] * p["C"]],
                                [0, 0, 1]])],
-    inv_matrix=lambda p: mat([[0, 0, -p["C"]],
-                              [2 * (p["C"] ** 2 - p["eps"]), -2, p["eps"] * p["C"]],
-                              [0, 0, 1]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "4"),
+    expected="4",
 )
 
 _entry(
@@ -589,21 +548,19 @@ _entry(
     build=lambda p: form_of(A1=1, B1=p["B"], C1=1, C2=1),
     generators=lambda p: [mat([[1, 0, 0], [0, -HALF, 0], [-1, Fraction(-3, 2), -2]]),
                           mat([[0, 0, 0], [1, 0, 0], [-1, -2 * p["B"], 0]])],
-    inv_matrix=None, series=None, series_tag=None,
     claimed_dim="2",
-    expected=_expected_const(2, False, "2"),
+    expected="2",
 )
 
 _entry(
     id="4.10", tau=4, params=(rational("B", 3, allow_zero=True),),
     build=lambda p: form_of(B1=p["B"], B2=1, C1=1, C2=1),
     generators=lambda p: [mat([[0, 0, 0], [HALF, 0, 1], [-HALF, -p["B"], 0]])],
-    inv_matrix=lambda p: mat([[0, 0, 0], [HALF, 0, 1], [-HALF, -p["B"], 0]]),
     series=lambda p: _even_series(-p["B"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-B",
     claimed_dim="1",
     expected=_by_sign(lambda p: -p["B"],
-                      boundary_expected=lambda p: _exp(2, False, "2")),
+                      boundary="2"),
     extra_branches=(
         ("B=-3", {"B": -3}, "1", None),
         ("B=0", {"B": 0}, "2", 3),
@@ -616,7 +573,6 @@ _entry(
     id="5.1", tau=5, params=(rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"]),
     generators=lambda p: [mat([[0, 2 * p["C3"], 1], [-2 * p["C2"], 0, -1], [0, 0, 0]])],
-    inv_matrix=lambda p: mat([[0, 2 * p["C3"], 1], [-2 * p["C2"], 0, -1], [0, 0, 0]]),
     series=lambda p: _even_series(-4 * p["C2"] * p["C3"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-4*C2*C3",
     claimed_dim="1",
@@ -630,27 +586,22 @@ _entry(
     generators=lambda p: [mat([[-2, 2 * (p["C3"] ** 2 - p["B3"]), p["B3"] * p["C3"] - 1],
                                [0, 0, -p["C3"]],
                                [0, 0, 1]])],
-    inv_matrix=lambda p: mat([[-2, 2 * (p["C3"] ** 2 - p["B3"]), p["B3"] * p["C3"] - 1],
-                              [0, 0, -p["C3"]],
-                              [0, 0, 1]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
-    expected=_expected_const(1, False, "4"),
+    expected="4",
 )
 
 _entry(
     id="5.3", tau=5, params=(rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
     generators=lambda p: [mat([[2, 2 * p["C3"], 1], [-2 * p["C2"], -2, -1], [0, 0, 0]])],
-    inv_matrix=lambda p: mat([[2, 2 * p["C3"], 1], [-2 * p["C2"], -2, -1], [0, 0, 0]]),
     series=lambda p: _even_series(4 * (1 - p["C2"] * p["C3"])),
     series_tag="c^(n/2)(1+(-1)^n), c=4(1-C2*C3)",
     claimed_dim="1",
     expected=lambda p: (
-        _exp(0, True, "3(2)") if p["C2"] == 1 and p["C3"] == 1 else
-        _exp(1, False, "5") if p["C2"] * p["C3"] < 1 else
-        _exp(1, False, "6") if p["C2"] * p["C3"] > 1 else
-        _exp(2, False, "2")),
+        "3(2)" if p["C2"] == 1 and p["C3"] == 1 else
+        "5" if p["C2"] * p["C3"] < 1 else
+        "6" if p["C2"] * p["C3"] > 1 else "2"),
     extra_branches=(
         ("C3=1/2", {"C3": HALF}, "1", None),
         ("C2*C3=1", {"C2": 2, "C3": HALF}, "2", None),
@@ -664,14 +615,11 @@ _entry(
     generators=lambda p: [mat([[-1 / p["C2"], -p["C3"] / p["C2"], -1 / (2 * p["C2"])],
                                [1, 1 / p["C2"], 0],
                                [0, 0, 0]])],
-    inv_matrix=lambda p: mat([[-1 / p["C2"], -p["C3"] / p["C2"], -1 / (2 * p["C2"])],
-                              [1, 1 / p["C2"], 0],
-                              [0, 0, 0]]),
     series=lambda p: _even_series((1 - p["C2"] * p["C3"]) / p["C2"] ** 2),
     series_tag="c^(n/2)(1+(-1)^n), c=(1-C2*C3)/C2^2",
     claimed_dim="1",
     expected=_by_sign(lambda p: 1 - p["C2"] * p["C3"],
-                      boundary_expected=lambda p: _exp(2, False, "2")),
+                      boundary="2"),
     extra_branches=(
         ("C3=1/2", {"C3": HALF}, "1", None),
         ("C2*C3=1", {"C3": 1}, "2", None),
@@ -682,11 +630,10 @@ _entry(
     id="5.5", tau=5, params=(rational("B3", 3), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B2=1, B3=p["B3"], C3=p["C3"], F=1),
     generators=lambda p: [mat([[-2, -2 * p["C3"], -p["B3"]], [0, 2, 1], [0, 0, 0]])],
-    inv_matrix=lambda p: mat([[-2, -2 * p["C3"], -p["B3"]], [0, 2, 1], [0, 0, 0]]),
     series=lambda p: _even_series(4),
     series_tag="4^(n/2)(1+(-1)^n)",
     claimed_dim="1",
-    expected=_expected_const(1, False, "5"),
+    expected="5",
 )
 
 # ---------------------------------------------------------------- tau = 6
@@ -697,14 +644,11 @@ _entry(
     generators=lambda p: [mat([[2 * p["F"], 2 * p["C3"], 1],
                                [-2 * p["C2"], -2 * p["F"], -1],
                                [0, 0, 0]])],
-    inv_matrix=lambda p: mat([[2 * p["F"], 2 * p["C3"], 1],
-                              [-2 * p["C2"], -2 * p["F"], -1],
-                              [0, 0, 0]]),
     series=lambda p: _even_series(4 * (p["F"] ** 2 - p["C2"] * p["C3"])),
     series_tag="c^(n/2)(1+(-1)^n), c=4(F^2-C2*C3)",
     claimed_dim="1",
     expected=_by_sign(lambda p: p["F"] ** 2 - p["C2"] * p["C3"],
-                      boundary_expected=lambda p: _exp(2, False, "2")),
+                      boundary="2"),
     extra_branches=(
         ("F=1/2", {"F": HALF}, "1", None),
         ("F^2=C2*C3", {"C3": 4}, "2", None),
@@ -891,6 +835,26 @@ def general_subclass(F):
 
 # ------------------------------------------------------------------ audit
 
+def _ledger(entry_id):
+    """(known, unknown, issue): issue(kind, text) files a finding as known
+    when (entry_id, kind) is in KNOWN_DISCREPANCIES, else as unknown."""
+    known, unknown = [], []
+
+    def issue(kind, text):
+        ledger = known if (entry_id, kind) in KNOWN_DISCREPANCIES else unknown
+        ledger.append(f"{kind}: {text}")
+    return known, unknown, issue
+
+
+class _Findings:
+    """Status shared by the report classes, read from their issue lists."""
+
+    @property
+    def status(self):
+        return "MATCH" if not self.known_issues and not self.unknown_issues \
+            else "DISCREPANCY"
+
+
 @dataclass(frozen=True)
 class GeneratorCheck:
     source: str                # "field" or "invariant-matrix"
@@ -900,7 +864,7 @@ class GeneratorCheck:
 
 
 @dataclass(frozen=True)
-class BranchReport:
+class BranchReport(_Findings):
     entry_id: str
     branch: str
     params: dict
@@ -916,11 +880,6 @@ class BranchReport:
     series_ok: bool | None
     known_issues: tuple
     unknown_issues: tuple
-
-    @property
-    def status(self):
-        return "MATCH" if not self.known_issues and not self.unknown_issues \
-            else "DISCREPANCY"
 
     def to_json(self):
         return {
@@ -968,13 +927,7 @@ def verify_branch(entry, branch):
     form = entry.build(branch.params)
     report = classify(form)
     algebra = report.algebra
-    known, unknown = [], []
-
-    def issue(kind, text):
-        if (entry.id, kind) in KNOWN_DISCREPANCIES:
-            known.append(f"{kind}: {text}")
-        else:
-            unknown.append(f"{kind}: {text}")
+    known, unknown, issue = _ledger(entry.id)
 
     tau_ok = form.affine_type() == branch.tau
     if not tau_ok:
@@ -999,32 +952,30 @@ def verify_branch(entry, branch):
               + (" plus infinite family" if algebra.has_infinite_family else ""))
 
     kernel_vectors = [g.flatten() for g in algebra.generators]
-    checks = []
-    for i, G in enumerate(entry.generators(branch.params)):
-        ok = verify_killing(form, G)
-        in_kernel = ok and in_span(kernel_vectors, G.flatten())
-        checks.append(GeneratorCheck("field", i, ok, in_kernel))
-        if not ok:
-            issue("generator", f"recorded generator {i} fails the isometry check")
-    inv_gen = None
+    recorded = [("field", i, G)
+                for i, G in enumerate(entry.generators(branch.params))]
     if entry.inv_matrix is not None:
-        M = entry.inv_matrix(branch.params)
-        ok = verify_killing(form, M)
-        in_kernel = ok and in_span(kernel_vectors, M.flatten())
-        checks.append(GeneratorCheck("invariant-matrix", 0, ok, in_kernel))
+        recorded.append(("invariant-matrix", 0, entry.inv_matrix(branch.params)))
+    checks, verified = [], {}
+    for source, i, G in recorded:
+        ok = verify_killing(form, G)
+        checks.append(GeneratorCheck(source, i, ok,
+                                     ok and in_span(kernel_vectors, G.flatten())))
         if ok:
-            inv_gen = M
+            verified.setdefault(source, G)
+        elif source == "field":
+            issue("generator", f"recorded generator {i} fails the isometry check")
         else:
             issue("invariant-matrix",
                   "recorded invariant matrix fails the isometry check")
 
     series_ok = None
     if entry.series is not None and not branch.boundary:
-        if inv_gen is None:
-            fields = [G for G in entry.generators(branch.params)
-                      if verify_killing(form, G)]
-            inv_gen = fields[0] if fields else (
-                algebra.generators[0] if algebra.generators else None)
+        # the invariant matrix if it verifies, else the first verified
+        # field, else the computed kernel
+        candidates = [verified.get("invariant-matrix"), verified.get("field"),
+                      *algebra.generators]
+        inv_gen = next((G for G in candidates if G is not None), None)
         if inv_gen is not None:
             expected_I, expected_delta = entry.series(branch.params)
             series = invariants(inv_gen)
@@ -1052,13 +1003,13 @@ def verify_entry(entry_id, overrides=None):
     if overrides is not None:
         params = entry.resolve_params(overrides)
         branch = Branch("custom", params, entry.claimed_dim,
-                        entry.expected(params), entry.tau, boundary=True)
+                        entry.expected_at(params), entry.tau, boundary=True)
         return [verify_branch(entry, branch)]
     return [verify_branch(entry, b) for b in entry.branches()]
 
 
 @dataclass(frozen=True)
-class ProjectiveReport:
+class ProjectiveReport(_Findings):
     entry_id: str
     sample: str
     recorded_class: str
@@ -1066,11 +1017,6 @@ class ProjectiveReport:
     computed_class: str
     known_issues: tuple
     unknown_issues: tuple
-
-    @property
-    def status(self):
-        return "MATCH" if not self.known_issues and not self.unknown_issues \
-            else "DISCREPANCY"
 
     def to_json(self):
         return {
@@ -1087,19 +1033,13 @@ class ProjectiveReport:
 def verify_projective(entry):
     out = []
     for sample in entry.samples:
-        form = entry.build(sample.params)
-        computed = classify(form).label
-        known, unknown = [], []
+        computed = classify(entry.build(sample.params)).label
+        known, unknown, issue = _ledger(entry.id)
         if computed != sample.expected_class:
-            unknown.append(f"class: computed {computed} != expected "
-                           f"{sample.expected_class}")
+            issue("class", f"computed {computed} != expected {sample.expected_class}")
         if computed != sample.recorded_class:
-            text = (f"table: computed {computed} differs from the recorded "
-                    f"class {sample.recorded_class}")
-            if (entry.id, "table") in KNOWN_DISCREPANCIES:
-                known.append(text)
-            else:
-                unknown.append(text)
+            issue("table", f"computed {computed} differs from the recorded "
+                           f"class {sample.recorded_class}")
         out.append(ProjectiveReport(entry.id, sample.label,
                                     sample.recorded_class, sample.expected_class,
                                     computed, tuple(known), tuple(unknown)))
@@ -1186,15 +1126,13 @@ def projective_table():
         else:
             label = classify(entry.build({})).label
         computed.setdefault(label, []).append(entry.id)
-    labels = ("1", "2", "3(1)", "3(2)", "3(3)", "4", "5", "6", "7", "8")
-    rows = {label: {"recorded": list(CORRESPONDENCE_TABLE[label]),
-                    "computed": computed.get(label, [])}
-            for label in labels}
+    rows = {label: {"recorded": list(recorded), "computed": computed.get(label, [])}
+            for label, recorded in CORRESPONDENCE_TABLE.items()}
     deviations = []
-    for label in labels:
+    for label in rows:
         rec, comp = set(rows[label]["recorded"]), set(rows[label]["computed"])
         for pid in sorted(rec - comp):
-            actual = next(lb for lb in labels if pid in rows[lb]["computed"])
+            actual = next(lb for lb in rows if pid in rows[lb]["computed"])
             deviations.append({"projective": pid, "recorded": label,
                                "computed": actual,
                                "known": (pid, "table") in KNOWN_DISCREPANCIES})

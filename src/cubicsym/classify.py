@@ -15,7 +15,9 @@ Eight classes, determined entirely by the computed symmetry algebra:
 
 Classes 5 and 6 are real forms of the same complex class: the proportionality
 constant linking their invariant series is imaginary, so each report carries
-a complex_equivalent_to flag pointing at the other.
+a complex_equivalent_to flag pointing at the other (COMPLEX_TWINS).
+Every class except the catch-all 7 fixes the finite dimension and the
+infinite family of its algebra (CLASS_SHAPES).
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,17 @@ from dataclasses import dataclass
 from .killing import solve
 from .liealg import colinearity, invariants, structure_constants
 from .linalg import span_equal
+
+
+# class label -> (finite_nontrivial_dim, has_infinite_family)
+CLASS_SHAPES = {
+    "1": (2, False), "2": (2, False),
+    "3(1)": (0, True), "3(2)": (0, True), "3(3)": (1, True),
+    "4": (1, False), "5": (1, False), "6": (1, False),
+    "8": (0, False),
+}
+
+COMPLEX_TWINS = {"5": "6", "6": "5"}
 
 
 @dataclass(frozen=True)
@@ -81,16 +94,17 @@ def classify(form):
     if dim == 1:
         series = invariants(algebra.generators[0])
         if series.I[0] != 0:
-            cls = SymmetryClass("4")
+            label = "4"
         elif series.I[1] > 0:
-            cls = SymmetryClass("5", complex_equivalent_to="6")
+            label = "5"
         elif series.I[1] < 0:
-            cls = SymmetryClass("6", complex_equivalent_to="5")
+            label = "6"
         else:
-            cls = SymmetryClass("7")
+            label = "7"
             notes.append("1-dimensional algebra with nilpotent generator; "
                          "outside the catalogued patterns")
-        return ClassificationReport(cls, algebra, invariant_series=series,
+        return ClassificationReport(SymmetryClass(label, COMPLEX_TWINS.get(label)),
+                                    algebra, invariant_series=series,
                                     notes=tuple(notes))
 
     if dim == 2:
@@ -129,8 +143,7 @@ def compare(form1, form2):
     rep1, rep2 = classify(form1), classify(form2)
     notes = []
     if rep1.label != rep2.label:
-        pair = {rep1.label, rep2.label}
-        if pair == {"5", "6"}:
+        if COMPLEX_TWINS.get(rep1.label) == rep2.label:
             notes.append("classes 5 and 6 are complex-equivalent: the "
                          "proportionality constant is imaginary")
         return ComparisonVerdict(

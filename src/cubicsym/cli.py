@@ -39,11 +39,11 @@ class InputError(Exception):
 
 def _load_json(path, what):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
@@ -254,6 +254,8 @@ def cmd_projective_table(args):
 
 
 def cmd_selftest(args):
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     results = run_all(trials=args.trials)
     ok = True
     for result in results:

@@ -34,7 +34,6 @@ TRIPLE_TO_NAME = {
     (1, 1, 2): "C1", (1, 1, 3): "C2", (2, 2, 3): "C3",
     (1, 2, 3): "F",
 }
-NAME_TO_TRIPLE = {name: triple for triple, name in TRIPLE_TO_NAME.items()}
 
 # sorted triples in lexicographic order; fixed once and used everywhere a
 # component vector is needed (rows of the Killing system in particular)
@@ -72,10 +71,6 @@ def scalar_to_json(x):
 
 def vec3(x1, x2, x3):
     return (Fraction(x1), Fraction(x2), Fraction(x3))
-
-
-def format_vec(v):
-    return [format_scalar(c) for c in v]
 
 
 class SingularTransformError(ValueError):

@@ -23,8 +23,8 @@ counting the generators that are not accounted for by radical families.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import CubicForm, Mat3, SORTED_TRIPLES, TRIPLE_TO_NAME
-from .linalg import nullspace, rank
+from .forms import CubicForm, Mat3, SORTED_TRIPLES, TRIPLE_TO_NAME, format_scalar
+from .linalg import nullspace
 
 
 def killing_operator(form, A):
@@ -58,9 +58,6 @@ class KillingSystem:
             comps[TRIPLE_TO_NAME[triple]] = sum(m * v for m, v in zip(row, flat))
         return CubicForm(**comps)
 
-    def rank(self):
-        return rank([list(row) for row in self.matrix])
-
     def kernel(self):
         return nullspace([list(row) for row in self.matrix], ncols=9)
 
@@ -93,9 +90,7 @@ class SymmetryAlgebra:
     def to_json(self):
         return {
             "generators": [g.to_json() for g in self.generators],
-            "radical": [[str(c.numerator) if c.denominator == 1
-                         else f"{c.numerator}/{c.denominator}" for c in v]
-                        for v in self.radical_basis],
+            "radical": [[format_scalar(c) for c in v] for v in self.radical_basis],
             "has_infinite_family": self.has_infinite_family,
             "finite_nontrivial_dim": self.finite_nontrivial_dim,
             "kernel_dim": self.kernel_dim,

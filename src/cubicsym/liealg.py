@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .forms import Mat3, format_scalar
-from .linalg import coordinates_in_span, echelon_basis, in_span, rank
+from .linalg import coordinates_in_span, echelon_basis, rank
 
 
 class DependentBasisError(ValueError):
@@ -25,13 +25,6 @@ class NotClosedError(ValueError):
 def bracket(A, B):
     """Matrix of the vector-field commutator [A x, B x]."""
     return (B @ A) - (A @ B)
-
-
-def _check_independent(basis):
-    vectors = [m.flatten() for m in basis]
-    if vectors and rank(vectors) != len(vectors):
-        raise DependentBasisError("generators are linearly dependent")
-    return vectors
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,9 @@ class StructureConstants:
 
 def structure_constants(basis):
     """Exact structure constants over the given, necessarily closed, basis."""
-    vectors = _check_independent(basis)
+    vectors = [m.flatten() for m in basis]
+    if vectors and rank(vectors) != len(vectors):
+        raise DependentBasisError("generators are linearly dependent")
     n = len(basis)
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -73,15 +68,9 @@ def is_abelian(basis):
 
 def derived_algebra(basis):
     """Canonical echelon basis of the span of all pairwise brackets."""
-    vectors = _check_independent(basis)
-    products = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            prod = bracket(basis[i], basis[j]).flatten()
-            if not in_span(vectors, prod):
-                raise NotClosedError(
-                    f"bracket of generators {i} and {j} is outside the span")
-            products.append(prod)
+    structure_constants(basis)  # raises on a dependent or non-closed basis
+    products = [bracket(basis[i], basis[j]).flatten()
+                for i in range(len(basis)) for j in range(i + 1, len(basis))]
     return [Mat3.from_flat(vec) for vec in echelon_basis(products)]
 
 

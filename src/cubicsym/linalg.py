@@ -91,18 +91,7 @@ def echelon_basis(vectors):
 
 def in_span(vectors, target):
     """True iff target lies in the span of vectors (all exact)."""
-    if all(v == 0 for v in target):
-        return True
-    if not vectors:
-        return False
-    base = echelon_basis(vectors)
-    residue = list(map(Fraction, target))
-    for row in base:
-        lead = next(i for i, v in enumerate(row) if v != 0)
-        if residue[lead] != 0:
-            f = residue[lead]
-            residue = [a - f * b for a, b in zip(residue, row)]
-    return all(v == 0 for v in residue)
+    return coordinates_in_span(vectors, target) is not None
 
 
 def coordinates_in_span(vectors, target):

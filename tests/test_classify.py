@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from cubicsym import NOT_EQUIVALENT, POSSIBLY_EQUIVALENT, classify, compare, \
     form_of
+from cubicsym.classify import CLASS_SHAPES, COMPLEX_TWINS
+from cubicsym.forms import COMPONENT_NAMES
 from cubicsym.properties import random_form, random_invertible
 
 
@@ -43,6 +45,28 @@ def test_classify_evidence_fields():
     assert dim2.structure is not None and dim2.invariant_series is None
     dim0 = classify(form_of(A1=1, A2=1, A3=1))
     assert dim0.invariant_series is None and dim0.structure is None
+
+
+def test_class_shapes_match_computed_algebras():
+    # every class but the catch-all 7 fixes the algebra's shape and twin
+    rng = random.Random(2024)
+    forms = []
+    for _ in range(150):
+        g = random_form(rng)
+        forms += [g, g.pullback(random_invertible(rng)),
+                  form_of(**{n: rng.choice((-1, 0, 1)) for n in COMPONENT_NAMES})]
+    seen = set()
+    for g in forms:
+        report = classify(g)
+        if report.label == "7":
+            continue
+        seen.add(report.label)
+        algebra = report.algebra
+        assert (algebra.finite_nontrivial_dim, algebra.has_infinite_family) == \
+            CLASS_SHAPES[report.label], g.to_json()
+        assert report.symmetry_class.complex_equivalent_to == \
+            COMPLEX_TWINS.get(report.label), g.to_json()
+    assert seen == set(CLASS_SHAPES)
 
 
 def test_classify_is_affine_invariant():

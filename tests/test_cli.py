@@ -133,6 +133,27 @@ def test_boolean_component_is_an_input_error(files, capsys):
     assert "'F'" in err
 
 
+def test_non_utf8_form_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "g.json"
+    bad.write_bytes(b'\xff\xfe{"F": 1}')
+    code, out, err = run(capsys, "classify", "--form", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not valid JSON" in err
+
+
+def test_non_utf8_matrix_file_is_an_input_error(files, capsys, tmp_path):
+    form = files("g.json", {"F": 1})
+    bad = tmp_path / "t.json"
+    bad.write_bytes(b"\xff\xfe[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    code, out, err = run(capsys, "transform", "--form", form, "--matrix", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not valid JSON" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "classify", "--form", "/nonexistent/g.json")
     assert code == 1
@@ -184,6 +205,15 @@ def test_catalog_verify_regression_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "catalog-verify", "--all", "--json")
     assert code == 2
     assert json.loads(out)["summary"]["unknown_discrepancies"] > 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_selftest_rejects_fewer_than_one_trial(capsys, trials):
+    code, out, err = run(capsys, "selftest", "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--trials" in err
 
 
 def test_selftest_smoke(capsys):
