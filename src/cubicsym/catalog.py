@@ -956,11 +956,14 @@ def verify_branch(entry, branch):
                 for i, G in enumerate(entry.generators(branch.params))]
     if entry.inv_matrix is not None:
         recorded.append(("invariant-matrix", 0, entry.inv_matrix(branch.params)))
-    checks, verified = [], {}
+    checks, verified, outcomes = [], {}, {}
     for source, i, G in recorded:
-        ok = verify_killing(form, G)
-        checks.append(GeneratorCheck(source, i, ok,
-                                     ok and in_span(kernel_vectors, G.flatten())))
+        # an invariant matrix equal to a field is checked once, for the field
+        if G not in outcomes:
+            ok = verify_killing(form, G)
+            outcomes[G] = ok, ok and in_span(kernel_vectors, G.flatten())
+        ok, in_kernel = outcomes[G]
+        checks.append(GeneratorCheck(source, i, ok, in_kernel))
         if ok:
             verified.setdefault(source, G)
         elif source == "field":

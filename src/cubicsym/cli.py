@@ -14,8 +14,9 @@ Subcommands:
     selftest         randomized property suites plus the full audit
 
 Forms are JSON objects with component keys A1..A3, B1..B3, C1..C3, F and
-integer or "p/q" values; missing keys are zero.  Transforms are 3x3 arrays
-of integer or "p/q" entries.  All output rationals are in lowest terms.
+integer, "p/q" or decimal ("0.5") values, with no exponent notation;
+missing keys are zero.  Transforms are 3x3 arrays of entries of the same
+kinds.  All output rationals are in lowest terms.
 
 Exit codes: 0 success; 1 input error; 2 catalog-verify found a discrepancy
 outside the known list (regression signal).

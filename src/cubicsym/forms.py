@@ -48,12 +48,16 @@ _ORBIT_SIZE = {t: (1 if t[0] == t[2] else (6 if len(set(t)) == 3 else 3))
 
 
 def parse_scalar(value):
-    """Parse an exact rational from an int, Fraction or 'p/q' string."""
+    """Parse an exact rational from an int, Fraction, or an integer, 'p/q' or
+    decimal string.  Exponent notation ('1e5') is refused: Fraction would
+    expand it to an integer of any size before a check could run."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not accepted: {value!r}")
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

@@ -8,7 +8,7 @@ this convention gives bracket(X1, X2) = (3/2) X2.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .forms import Mat3, format_scalar
 from .linalg import coordinates_in_span, echelon_basis, rank
@@ -96,12 +96,21 @@ class InvariantSeries:
 
 
 def invariants(A):
-    """Exact invariant series of a field matrix."""
+    """Exact invariant series of a field matrix.
+
+    With A = M/d for an integer matrix M, I_k = Tr(M^k)/d^k: the powers are
+    integer products and each trace makes one Fraction.
+    """
+    d = lcm(*[v.denominator for row in A.rows for v in row])
+    M = [[v.numerator * (d // v.denominator) for v in row] for row in A.rows]
+    cols = list(zip(*M))
     traces = []
-    power = A
-    for _ in range(6):
-        traces.append(power.trace())
-        power = power @ A
+    power = M
+    for k in range(1, 7):
+        traces.append(Fraction(power[0][0] + power[1][1] + power[2][2], d ** k))
+        if k < 6:
+            power = [[sum(x * y for x, y in zip(row, col)) for col in cols]
+                     for row in power]
     i1, i2 = traces[0], traces[1]
     delta = A.det()
     charpoly = (Fraction(1), -i1, (i1 * i1 - i2) / 2, -delta)

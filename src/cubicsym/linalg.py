@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on small dense matrices represented as lists of rows,
-each row a list of Fraction.  All results are exact; pivoting is
-deterministic (first nonzero entry in column order), so reduced echelon
-forms, nullspace bases and echelonized spans are canonical for a given
-input.
+each row a list of rationals (int or Fraction); results are lists of
+Fraction.  All results are exact; nothing is rounded or approximated.
+Elimination runs on Python ints: each row is scaled by the lcm of its
+denominators, reduced fraction-free, and divided by its pivot only at the
+end.  Pivoting is deterministic (first nonzero entry in column order), so
+reduced echelon forms, nullspace bases and echelonized spans are canonical
+for a given input.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -15,14 +19,23 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _integer_row(row):
+    """The row scaled by the lcm of its denominators, as a list of ints."""
+    d = lcm(*[v.denominator for v in row])
+    return [v.numerator * (d // v.denominator) for v in row]
+
+
 def rref(matrix):
     """Reduced row echelon form.
 
     Returns (rows, pivot_columns).  The input is not modified.  Pivots are
     chosen as the first row with a nonzero entry in the leftmost unsettled
-    column, which makes the result canonical.
+    column, which makes the result canonical.  Scaling a row does not change
+    the reduced form, so rows are eliminated as integer multiples of
+    themselves (each new row divided by the gcd of its entries) and only the
+    final division by the pivot makes a Fraction.
     """
-    rows = [list(map(Fraction, row)) for row in matrix]
+    rows = [_integer_row(row) for row in matrix]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -31,23 +44,30 @@ def rref(matrix):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(rows)):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    reduced = [[Fraction(x, row[p]) if x else ZERO for x in row]
+               for row, p in zip(rows, pivots)]
+    reduced += [[ZERO] * ncols for _ in range(len(rows) - r)]
+    return reduced, pivots
 
 
 def rank(matrix):
@@ -106,7 +126,7 @@ def coordinates_in_span(vectors, target):
     m = len(target)
     augmented = []
     for i in range(m):
-        augmented.append([Fraction(vectors[j][i]) for j in range(n)] + [Fraction(target[i])])
+        augmented.append([vectors[j][i] for j in range(n)] + [target[i]])
     red, pivots = rref(augmented)
     if n in pivots:
         return None

@@ -5,6 +5,8 @@ out (run with -s or -rA to see them).  Everything is exact rational
 arithmetic, so every comparison is equality: tolerance zero throughout.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -134,6 +136,19 @@ def test_invariant_tables(audit):
     rotation = entry.inv_matrix({"eps1": Fraction(1), "eps2": Fraction(1)})
     assert invariants(rotation).I[1] == -2
     _done("invariant tables", f"{checked} branch series verified exactly")
+
+
+# sha256 of the full audit JSON.  A deliberate change to any audit output
+# (a branch, a check, a message) must update this digest in the same change.
+AUDIT_JSON_SHA256 = "869b9861df196b77d67469ef4fee487a34bb50b0673744df5e3637b9766b20b4"
+
+
+def test_audit_json_is_pinned(audit):
+    """The audit output is byte-for-byte what it was when the digest was
+    recorded, so a speedup that claims identical outputs is checked."""
+    payload = json.dumps(audit.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == AUDIT_JSON_SHA256
+    _done("audit JSON pinned", AUDIT_JSON_SHA256[:12])
 
 
 def test_boundary_degenerations():

@@ -133,6 +133,26 @@ def test_boolean_component_is_an_input_error(files, capsys):
     assert "'F'" in err
 
 
+def test_exponent_notation_is_an_input_error(files, capsys):
+    # Fraction("1e5000") is a 5,001-digit integer: it parsed, then the JSON
+    # output died on Python's integer-to-string digit limit
+    form = files("g.json", {"A1": "1e5000", "F": 1})
+    identity = files("id.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    code, out, err = run(capsys, "transform", "--form", form, "--matrix", identity)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'A1'" in err
+
+
+def test_decimal_component_is_accepted(files, capsys):
+    form = files("g.json", {"A1": "0.5", "F": 1})
+    identity = files("id.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    code, out, _ = run(capsys, "transform", "--form", form, "--matrix", identity)
+    assert code == 0
+    assert json.loads(out) == {"A1": "1/2", "F": 1}
+
+
 def test_non_utf8_form_file_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "g.json"
     bad.write_bytes(b'\xff\xfe{"F": 1}')

@@ -1,0 +1,143 @@
+"""Integer elimination and integer trace powers against Fraction oracles.
+
+`rref` eliminates over ints and divides by the pivot only at the end; the
+reduced row echelon form is unique, so it must agree exactly with the plain
+Fraction Gauss-Jordan loop kept here as the oracle.
+"""
+
+import random
+from fractions import Fraction
+
+from cubicsym import Mat3, invariants
+from cubicsym import linalg
+from cubicsym.linalg import coordinates_in_span, echelon_basis, nullspace, rref
+
+
+def rref_fraction_oracle(matrix):
+    """Gauss-Jordan elimination entirely in Fraction (the former `rref`)."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _entry(rng, max_den):
+    if rng.random() < 0.4:
+        return 0
+    num = rng.randint(-30, 30)
+    return num if rng.random() < 0.3 else Fraction(num, rng.randint(1, max_den))
+
+
+def _matrix(rng, nrows, ncols, max_den=97):
+    """Random rational matrix of low rank now and then, with repeated,
+    scaled and zero rows mixed in."""
+    rows = [[_entry(rng, max_den) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        roll = rng.random()
+        if roll < 0.15:
+            rows[i] = list(rows[rng.randrange(i)])
+        elif roll < 0.3:
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+            rows[i] = [c * v for v in rows[rng.randrange(i)]]
+        elif roll < 0.35:
+            rows[i] = [0] * ncols
+    return rows
+
+
+def _cases():
+    rng = random.Random(20261018)
+    cases = [[], [[0] * 5], [[0] * 4] * 3, [[]], [[Fraction(3, 97)] * 6] * 4]
+    for shape in [(10, 9), (6, 3), (9, 10), (1, 7), (7, 1), (4, 4)]:
+        cases.extend(_matrix(rng, *shape) for _ in range(25))
+    cases.extend(_matrix(rng, rng.randint(1, 11), rng.randint(1, 11))
+                 for _ in range(100))
+    return cases
+
+
+CASES = _cases()
+
+
+def _mat_vec(matrix, vec):
+    return [sum(Fraction(a) * b for a, b in zip(row, vec)) for row in matrix]
+
+
+def test_rref_matches_fraction_oracle():
+    for matrix in CASES:
+        before = [list(row) for row in matrix]
+        rows, pivots = rref(matrix)
+        assert matrix == before
+        assert (rows, pivots) == rref_fraction_oracle(matrix), matrix
+        assert all(type(v) is Fraction for row in rows for v in row)
+
+
+def test_derived_calls_match_the_oracle(monkeypatch):
+    new = []
+    for matrix in CASES:
+        if not matrix or not matrix[0]:
+            continue
+        ncols = len(matrix[0])
+        kernel = nullspace(matrix)
+        assert len(kernel) == ncols - len(rref(matrix)[1])
+        for vec in kernel:
+            assert not any(_mat_vec(matrix, vec))
+        coords = coordinates_in_span(matrix[:-1], matrix[-1])
+        if coords is not None:
+            combo = [sum(c * Fraction(row[i]) for c, row in zip(coords, matrix))
+                     for i in range(ncols)]
+            assert combo == list(map(Fraction, matrix[-1]))
+        new.append((kernel, echelon_basis(matrix), coords))
+    monkeypatch.setattr(linalg, "rref", rref_fraction_oracle)
+    old = [(nullspace(m), echelon_basis(m), coordinates_in_span(m[:-1], m[-1]))
+           for m in CASES if m and m[0]]
+    assert new == old
+
+
+def test_augmented_solve_finds_the_planted_coordinates():
+    rng = random.Random(61)
+    for _ in range(30):
+        vectors = [[_entry(rng, 97) for _ in range(9)] for _ in range(4)]
+        if len(rref(vectors)[1]) < 4:
+            continue
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 97)) for _ in range(4)]
+        target = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(9)]
+        assert coordinates_in_span(vectors, target) == coeffs
+
+
+def test_invariants_match_rational_matrix_powers():
+    rng = random.Random(71)
+    matrices = [Mat3.zero(), Mat3.identity(),
+                Mat3.diag(Fraction(1, 2), -3, Fraction(2, 3))]
+    matrices += [Mat3([[_entry(rng, 97) for _ in range(3)] for _ in range(3)])
+                 for _ in range(60)]
+    for A in matrices:
+        series = invariants(A)
+        power, traces = A, []
+        for _ in range(6):
+            traces.append(power.trace())
+            power = power @ A
+        assert list(series.I) == traces
+        assert all(type(v) is Fraction for v in series.I)
+        assert series.delta == A.det()
+
