@@ -70,7 +70,22 @@ class ClassificationReport:
 
 
 def classify(form):
-    """Classify a cubic metric by its computed symmetry algebra."""
+    """Classify a cubic metric by its computed symmetry algebra.
+
+    A form keeps its report: the first call stores it on the form instance
+    it was given and later calls with that instance return the same report,
+    so classify(h) followed by compare(g, h) solves h once.  Nothing is
+    shared between distinct forms, even equal ones.
+    """
+    report = form.__dict__.get("_classification")
+    if report is None:
+        report = _classify(form)
+        # CubicForm is frozen; the report is derived from its components alone
+        object.__setattr__(form, "_classification", report)
+    return report
+
+
+def _classify(form):
     algebra = solve(form)
     notes = []
     r = len(algebra.radical_basis)

@@ -44,7 +44,9 @@ def _load_json(path, what):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and the ValueError json raises
+        # for an integer literal longer than the interpreter's digit limit
         raise InputError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 

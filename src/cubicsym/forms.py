@@ -20,6 +20,7 @@ All arithmetic is exact (fractions.Fraction); nothing here ever rounds.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .linalg import nullspace
 
@@ -41,6 +42,10 @@ SORTED_TRIPLES = (
     (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
     (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3),
 )
+
+# _FULL_INDEX[d][e][f] = position of the sorted (d+1, e+1, f+1) in SORTED_TRIPLES
+_FULL_INDEX = tuple(tuple(tuple(SORTED_TRIPLES.index(tuple(sorted((d, e, f))))
+                                for f in (1, 2, 3)) for e in (1, 2, 3)) for d in (1, 2, 3))
 
 # evaluation weight = number of distinct permutations of the triple
 _ORBIT_SIZE = {t: (1 if t[0] == t[2] else (6 if len(set(t)) == 3 else 3))
@@ -79,6 +84,13 @@ def vec3(x1, x2, x3):
 
 class SingularTransformError(ValueError):
     """Raised when an operation requires an invertible transform."""
+
+
+def _det(r):
+    """Determinant of a 3x3 array of ints or rationals."""
+    return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
 
 
 class Mat3:
@@ -150,10 +162,7 @@ class Mat3:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
     def det(self):
-        r = self.rows
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+        return _det(self.rows)
 
     def inverse(self):
         d = self.det()
@@ -242,19 +251,28 @@ class CubicForm:
         return total
 
     def pullback(self, T):
-        """Components in the new frame: G'_{abc} = G_{def} T^d_a T^e_b T^f_c."""
-        if T.det() == 0:
+        """Components in the new frame: G'_{abc} = G_{def} T^d_a T^e_b T^f_c.
+
+        With G = M/m and T = S/s for integer M and S, G' = M(S, S, S) / (m s^3):
+        the contraction runs over ints one index at a time, and each of the
+        ten components makes one Fraction at the end.
+        """
+        s = lcm(*[v.denominator for row in T.rows for v in row])
+        S = [[v.numerator * (s // v.denominator) for v in row] for row in T.rows]
+        if _det(S) == 0:
             raise SingularTransformError("pullback requires an invertible transform")
-        rows = T.rows
-        comps = {}
-        for (a, b, c) in SORTED_TRIPLES:
-            total = Fraction(0)
-            for d, e, f in product(range(1, 4), repeat=3):
-                g = self.component(d, e, f)
-                if g != 0:
-                    total += g * rows[d - 1][a - 1] * rows[e - 1][b - 1] * rows[f - 1][c - 1]
-            comps[TRIPLE_TO_NAME[(a, b, c)]] = total
-        return CubicForm(**comps)
+        M, m = _int_tensor(self)
+        cols = list(zip(*S))
+        # M(a, e, f), then M(a, b, f); M(a, b, c) only for the sorted triples
+        M = [[[u[0] * M[0][e][f] + u[1] * M[1][e][f] + u[2] * M[2][e][f]
+               for f in range(3)] for e in range(3)] for u in cols]
+        M = [[[u[0] * Ma[0][f] + u[1] * Ma[1][f] + u[2] * Ma[2][f]
+               for f in range(3)] for u in cols] for Ma in M]
+        den = m * s ** 3
+        return CubicForm(**{
+            TRIPLE_TO_NAME[t]: Fraction(sum(x * y for x, y in zip(M[t[0] - 1][t[1] - 1],
+                                                                 cols[t[2] - 1])), den)
+            for t in SORTED_TRIPLES})
 
     def radical(self):
         """Canonical basis of {v : v^d G_{d b c} = 0 for all b, c}."""
@@ -331,16 +349,13 @@ def _canonical_columns(radius):
     return cols
 
 
-def _int_components(form):
-    """Integer-scaled component dict keyed by sorted triple (tau unchanged)."""
-    from math import lcm
-    denoms = [getattr(form, n).denominator for n in COMPONENT_NAMES]
-    m = lcm(*denoms)
-    table = {}
-    for t in SORTED_TRIPLES:
-        c = getattr(form, TRIPLE_TO_NAME[t])
-        table[t] = int(c * m)
-    return table
+def _int_tensor(form):
+    """(M, m): m is the lcm of the component denominators and M the integer
+    tensor with M[d][e][f] = m * G(d+1, e+1, f+1)."""
+    comps = form.components()
+    m = lcm(*[c.denominator for c in comps])
+    flat = [c.numerator * (m // c.denominator) for c in comps]
+    return [[[flat[k] for k in row] for row in plane] for plane in _FULL_INDEX], m
 
 
 def tau0_upper_bound(form, radius):
@@ -367,9 +382,7 @@ def tau0_upper_bound(form, radius):
     floor = 0 if best == 0 else 1
     if best == floor:
         return best, witness
-    comp = _int_components(form)
-    tensor = [[[comp[tuple(sorted((d, e, f)))] for f in (1, 2, 3)]
-               for e in (1, 2, 3)] for d in (1, 2, 3)]
+    tensor, _ = _int_tensor(form)
     cols = _canonical_columns(radius)
     ncols = len(cols)
     # slices[u][e][f] = G(u, e, f) and quad[u][f] = G(u, u, f)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .forms import Mat3, format_scalar
-from .linalg import coordinates_in_span, echelon_basis, rank
+from .linalg import coordinates_in_span, echelon_basis, rref
 
 
 class DependentBasisError(ValueError):
@@ -42,21 +42,29 @@ class StructureConstants:
 
 
 def structure_constants(basis):
-    """Exact structure constants over the given, necessarily closed, basis."""
-    vectors = [m.flatten() for m in basis]
-    if vectors and rank(vectors) != len(vectors):
-        raise DependentBasisError("generators are linearly dependent")
+    """Exact structure constants over the given, necessarily closed, basis.
+
+    One reduction of the 9 x (n + n(n-1)/2) matrix [basis | all brackets]
+    decides everything: the basis is independent iff each of its n columns
+    gets a pivot, the first bracket column that gets a pivot is the first
+    bracket outside the span, and otherwise each bracket column holds its
+    coordinates over the basis.
+    """
     n = len(basis)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    columns = [m.flatten() for m in basis]
+    columns += [bracket(basis[i], basis[j]).flatten() for i, j in pairs]
+    red, pivots = rref(list(zip(*columns)))
+    if pivots[:n] != list(range(n)):
+        raise DependentBasisError("generators are linearly dependent")
+    if len(pivots) > n:
+        i, j = pairs[pivots[n] - n]
+        raise NotClosedError(f"bracket of generators {i} and {j} is outside the span")
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords = coordinates_in_span(vectors, bracket(basis[i], basis[j]).flatten())
-            if coords is None:
-                raise NotClosedError(
-                    f"bracket of generators {i} and {j} is outside the span")
-            for k in range(n):
-                c[k][i][j] = coords[k]
-                c[k][j][i] = -coords[k]
+    for col, (i, j) in enumerate(pairs, start=n):
+        for k in range(n):
+            c[k][i][j] = red[k][col]
+            c[k][j][i] = -red[k][col]
     return StructureConstants(n=n, c=tuple(tuple(tuple(row) for row in layer) for layer in c))
 
 

@@ -1,5 +1,6 @@
 """Symmetry classification tree and the necessary-condition comparison."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ from cubicsym import NOT_EQUIVALENT, POSSIBLY_EQUIVALENT, classify, compare, \
 from cubicsym.classify import CLASS_SHAPES, COMPLEX_TWINS
 from cubicsym.forms import COMPONENT_NAMES
 from cubicsym.properties import random_form, random_invertible
+
+# the package attribute cubicsym.classify is the function, not the module
+classify_module = importlib.import_module("cubicsym.classify")
 
 
 def test_classify_examples():
@@ -122,3 +126,41 @@ def test_compare_rescaled_metric_stays_possible():
     a = form_of(A1=1, B3=1)
     scaled = form_of(A1=8, B3=Fraction(1, 2))
     assert compare(a, scaled).verdict == POSSIBLY_EQUIVALENT
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = classify_module.solve
+
+    def counted(form):
+        calls.append(form)
+        return solve(form)
+
+    monkeypatch.setattr(classify_module, "solve", counted)
+    return calls
+
+
+def test_a_form_keeps_its_report():
+    g = form_of(A1=1, B1=1, B2=-1)
+    assert classify(g) is classify(g)
+    assert g == form_of(A1=1, B1=1, B2=-1)
+    assert repr(g) == repr(form_of(A1=1, B1=1, B2=-1))
+
+
+def test_compare_after_classify_solves_each_form_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    g = form_of(A1=1, F=1)
+    h = g.pullback(random_invertible(random.Random(7)))
+    report = classify(h)
+    assert compare(g, h).verdict == POSSIBLY_EQUIVALENT
+    assert calls == [h, g] and calls[0] is h and calls[1] is g
+    assert classify(h) is report
+
+
+def test_equal_forms_do_not_share_reports(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    a, b = form_of(A1=1, B3=1), form_of(A1=1, B3=1)
+    assert a == b and a is not b
+    ra, rb = classify(a), classify(b)
+    assert ra is not rb and ra == rb
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b

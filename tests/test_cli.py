@@ -174,6 +174,28 @@ def test_non_utf8_matrix_file_is_an_input_error(files, capsys, tmp_path):
     assert "is not valid JSON" in err
 
 
+def test_overlong_integer_in_form_file_is_an_input_error(tmp_path, capsys):
+    # json refuses integer literals over the interpreter's digit limit (4300)
+    big = tmp_path / "g.json"
+    big.write_text('{"F": 1' + "0" * 5000 + "}")
+    code, out, err = run(capsys, "classify", "--form", str(big))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not valid JSON" in err
+
+
+def test_overlong_integer_in_matrix_file_is_an_input_error(files, capsys, tmp_path):
+    form = files("g.json", {"F": 1})
+    big = tmp_path / "t.json"
+    big.write_text("[[1" + "0" * 5000 + ", 0, 0], [0, 1, 0], [0, 0, 1]]")
+    code, out, err = run(capsys, "transform", "--form", form, "--matrix", str(big))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not valid JSON" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "classify", "--form", "/nonexistent/g.json")
     assert code == 1

@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import pytest
 
 from cubicsym import CubicForm, Mat3, SingularTransformError, form_of, \
     symmetrized_monomial, tau0_upper_bound
 from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, \
-    _canonical_columns, _int_components, parse_scalar
+    _canonical_columns, parse_scalar
 from cubicsym.properties import random_form, random_invertible, random_vec
 
 
@@ -102,6 +103,58 @@ def test_pullback_factors_the_special_symmetric_cubic():
     assert pulled.affine_type() == 2
 
 
+def pullback_oracle(form, T):
+    # reference: the 27-term Fraction contraction per sorted component
+    if T.det() == 0:
+        raise SingularTransformError("pullback requires an invertible transform")
+    rows = T.rows
+    comps = {}
+    for (a, b, c) in SORTED_TRIPLES:
+        total = Fraction(0)
+        for d, e, f in product(range(1, 4), repeat=3):
+            g = form.component(d, e, f)
+            if g != 0:
+                total += g * rows[d - 1][a - 1] * rows[e - 1][b - 1] * rows[f - 1][c - 1]
+        comps[TRIPLE_TO_NAME[(a, b, c)]] = total
+    return CubicForm(**comps)
+
+
+def test_pullback_matches_oracle():
+    rng = random.Random(2026)
+
+    def scalar():
+        # negative entries, denominators up to 97, and zeros
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 97))
+
+    def matrix():
+        return Mat3([[scalar() for _ in range(3)] for _ in range(3)])
+
+    def singular():
+        r1, r2 = [scalar() for _ in range(3)], [scalar() for _ in range(3)]
+        a, b = scalar(), scalar()
+        return Mat3([r1, r2, [a * x + b * y for x, y in zip(r1, r2)]])
+
+    forms = [form_of(), form_of(F=1), form_of(A1=Fraction(-1, 97))]
+    forms += [CubicForm(**{n: scalar() for n in COMPONENT_NAMES}) for _ in range(60)]
+    transforms = [Mat3.identity(), Mat3.zero(), Mat3.diag(-1, Fraction(1, 97), 3)]
+    transforms += [matrix() for _ in range(50)] + [singular() for _ in range(10)]
+    pairs = [(g, T) for g in forms[:3] for T in transforms]
+    pairs += [(rng.choice(forms), rng.choice(transforms)) for _ in range(300)]
+    singular_seen = 0
+    for g, T in pairs:
+        if T.det() == 0:
+            singular_seen += 1
+            with pytest.raises(SingularTransformError, match="requires an invertible"):
+                g.pullback(T)
+            with pytest.raises(SingularTransformError, match="requires an invertible"):
+                pullback_oracle(g, T)
+        else:
+            assert g.pullback(T) == pullback_oracle(g, T), (g, T)
+    assert singular_seen >= 20 and len(pairs) - singular_seen >= 300
+
+
 def test_radical_examples():
     assert form_of(B1=1).radical() == [(0, 0, 1)]
     assert form_of(A1=1).radical() == [(0, 1, 0), (0, 0, 1)]
@@ -186,7 +239,9 @@ def tau0_brute_force(form, radius):
     floor = 0 if best == 0 else 1
     if best == floor:
         return best, witness
-    nz = [(t, c) for t, c in _int_components(form).items() if c != 0]
+    comps = form.components()
+    m = lcm(*[c.denominator for c in comps])
+    nz = [(t, int(c * m)) for t, c in zip(SORTED_TRIPLES, comps) if c != 0]
     cols = _canonical_columns(radius)
     ncols = len(cols)
     for ia in range(ncols):

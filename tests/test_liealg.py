@@ -7,8 +7,10 @@ import pytest
 
 from cubicsym import Mat3, bracket, colinearity, derived_algebra, form_of, \
     invariants, is_abelian, solvable_pair, solve, structure_constants
-from cubicsym.liealg import DependentBasisError, NotClosedError, _nth_root
-from cubicsym.properties import random_matrix
+from cubicsym.liealg import DependentBasisError, NotClosedError, StructureConstants, \
+    _nth_root
+from cubicsym.linalg import coordinates_in_span, rank
+from cubicsym.properties import random_form, random_matrix
 
 
 def test_bracket_examples():
@@ -64,6 +66,66 @@ def test_structure_constants_errors():
         structure_constants([shear_up, shear_down])
     with pytest.raises(NotClosedError):
         derived_algebra([shear_up, shear_down])
+
+
+def structure_constants_oracle(basis):
+    # reference: a rank check, then one augmented solve per bracket
+    vectors = [m.flatten() for m in basis]
+    if vectors and rank(vectors) != len(vectors):
+        raise DependentBasisError("generators are linearly dependent")
+    n = len(basis)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = coordinates_in_span(vectors, bracket(basis[i], basis[j]).flatten())
+            if coords is None:
+                raise NotClosedError(
+                    f"bracket of generators {i} and {j} is outside the span")
+            for k in range(n):
+                c[k][i][j] = coords[k]
+                c[k][j][i] = -coords[k]
+    return StructureConstants(n=n, c=tuple(tuple(tuple(row) for row in layer) for layer in c))
+
+
+def _outcome(f, basis):
+    try:
+        return f(basis)
+    except (DependentBasisError, NotClosedError) as exc:
+        return type(exc), str(exc)
+
+
+def test_structure_constants_match_oracle():
+    rng = random.Random(113)
+
+    def rational_matrix():
+        return Mat3([[Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(3)]
+                     for _ in range(3)])
+
+    # closed: computed algebras and their subalgebras, rational multiples included
+    bases = []
+    for _ in range(120):
+        gens = list(solve(random_form(rng)).generators)
+        bases.append(gens)
+        if len(gens) >= 2:
+            bases.append([gens[0].scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                          + gens[1], gens[1]])
+    bases += [[], [Mat3.diag(1, 2, 3)], [Mat3.diag(1, -1, 0), Mat3.diag(1, 0, -1)]]
+    # dependent: a repeated or rescaled member, placed anywhere
+    for _ in range(60):
+        basis = [rational_matrix() for _ in range(rng.randint(1, 3))]
+        k = rng.randrange(len(basis) + 1)
+        basis.insert(k, basis[rng.randrange(len(basis))].scale(rng.randint(-3, 3)))
+        bases.append(basis)
+    # non-closed: random matrices, whose brackets leave the span
+    bases += [[rational_matrix() for _ in range(rng.randint(2, 4))] for _ in range(60)]
+    kinds = {}
+    for basis in bases:
+        expected = _outcome(structure_constants_oracle, basis)
+        assert _outcome(structure_constants, basis) == expected, basis
+        kind = expected[0] if isinstance(expected, tuple) else StructureConstants
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.get(k, 0) for k in
+               (StructureConstants, DependentBasisError, NotClosedError)) >= 40
 
 
 def test_structure_constants_antisymmetry_and_jacobi():
