@@ -20,10 +20,10 @@ an audit that finds exactly those is considered clean.  Any discrepancy
 outside that list is a regression signal.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from ._record import record
 from .classify import CLASS_SHAPES, classify
 from .forms import Mat3, form_of, scalar_to_json
 # solve is not called here, but perfbench/run.py traces catalog.solve by name
@@ -38,7 +38,7 @@ class ParameterRangeError(ValueError):
     """A catalog parameter was given a value outside its declared range."""
 
 
-@dataclass(frozen=True)
+@record
 class ParamSpec:
     name: str
     kind: str                  # "sign" or "rational"
@@ -46,7 +46,7 @@ class ParamSpec:
     allow_zero: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class Expected:
     finite_dim: int
     infinite: bool
@@ -57,7 +57,7 @@ class Expected:
         return cls(*CLASS_SHAPES[label], label)
 
 
-@dataclass(frozen=True)
+@record
 class Branch:
     label: str
     params: dict
@@ -67,7 +67,7 @@ class Branch:
     boundary: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     id: str
     tau: int
@@ -670,7 +670,7 @@ def get_entry(entry_id):
 
 # -------------------------------------------------------------- projective
 
-@dataclass(frozen=True)
+@record
 class ProjectiveSample:
     label: str
     params: dict
@@ -678,7 +678,7 @@ class ProjectiveSample:
     expected_class: str        # class the exact computation must produce
 
 
-@dataclass(frozen=True)
+@record
 class ProjectiveEntry:
     id: str
     description: str
@@ -849,13 +849,15 @@ def _ledger(entry_id):
 class _Findings:
     """Status shared by the report classes, read from their issue lists."""
 
+    __slots__ = ()
+
     @property
     def status(self):
         return "MATCH" if not self.known_issues and not self.unknown_issues \
             else "DISCREPANCY"
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorCheck:
     source: str                # "field" or "invariant-matrix"
     index: int
@@ -863,7 +865,7 @@ class GeneratorCheck:
     in_kernel: bool            # passes and lies in the computed kernel span
 
 
-@dataclass(frozen=True)
+@record
 class BranchReport(_Findings):
     entry_id: str
     branch: str
@@ -1011,7 +1013,7 @@ def verify_entry(entry_id, overrides=None):
     return [verify_branch(entry, b) for b in entry.branches()]
 
 
-@dataclass(frozen=True)
+@record
 class ProjectiveReport(_Findings):
     entry_id: str
     sample: str
@@ -1049,7 +1051,7 @@ def verify_projective(entry):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class AuditReport:
     branch_reports: tuple
     projective_reports: tuple

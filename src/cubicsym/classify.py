@@ -20,8 +20,7 @@ Every class except the catch-all 7 fixes the finite dimension and the
 infinite family of its algebra (CLASS_SHAPES).
 """
 
-from dataclasses import dataclass
-
+from ._record import record
 from .killing import solve
 from .liealg import colinearity, invariants, structure_constants
 from .linalg import span_equal
@@ -38,13 +37,13 @@ CLASS_SHAPES = {
 COMPLEX_TWINS = {"5": "6", "6": "5"}
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryClass:
     label: str
     complex_equivalent_to: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationReport:
     symmetry_class: SymmetryClass
     algebra: object
@@ -137,7 +136,7 @@ NOT_EQUIVALENT = "NOT_EQUIVALENT"
 POSSIBLY_EQUIVALENT = "POSSIBLY_EQUIVALENT"
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonVerdict:
     verdict: str
     witness: str | None = None

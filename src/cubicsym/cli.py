@@ -18,8 +18,9 @@ integer, "p/q" or decimal ("0.5") values, with no exponent notation;
 missing keys are zero.  Transforms are 3x3 arrays of entries of the same
 kinds.  All output rationals are in lowest terms.
 
-Exit codes: 0 success; 1 input error; 2 catalog-verify found a discrepancy
-outside the known list (regression signal).
+Exit codes: 0 success; 1 input error, or a result with an integer longer
+than the interpreter prints (4,300 digits by default); 2 catalog-verify found
+a discrepancy outside the known list (regression signal).
 """
 
 import argparse
@@ -66,9 +67,26 @@ def load_matrix(path):
         raise InputError(f"matrix file {path!r}: {exc}") from exc
 
 
-def _emit(payload, as_json, plain):
+def _emit(payload, as_json, plain=None):
+    """Format payload() and print it as JSON or through plain.
+
+    str and json.dumps raise ValueError where they meet an int longer than the
+    interpreter's limit for int-to-str conversion (4,300 digits by default),
+    which a pullback or an exact kernel can reach.  Any other ValueError from
+    building the payload propagates.
+    """
+    try:
+        payload = payload()
+        text = json.dumps(payload, indent=2, sort_keys=True) if as_json else None
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise InputError(
+            "cannot write the output: it has an integer over the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} digits (PYTHONINTMAXSTRDIGITS "
+            "sets the limit)") from exc
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(text)
     else:
         plain(payload)
 
@@ -79,7 +97,6 @@ def _matrix_lines(rows, indent="    "):
 
 def cmd_solve(args):
     algebra = solve(load_form(args.form))
-    payload = algebra.to_json()
 
     def plain(p):
         print(f"kernel dimension:        {p['kernel_dim']}")
@@ -92,13 +109,12 @@ def cmd_solve(args):
         for v in p["radical"]:
             print(f"radical vector: ({', '.join(v)})")
 
-    _emit(payload, args.json, plain)
+    _emit(algebra.to_json, args.json, plain)
     return 0
 
 
 def cmd_classify(args):
     report = classify(load_form(args.form))
-    payload = report.to_json()
 
     def plain(p):
         print(f"symmetry class:          {p['class']}")
@@ -118,7 +134,7 @@ def cmd_classify(args):
         for note in p["notes"]:
             print(f"note: {note}")
 
-    _emit(payload, args.json, plain)
+    _emit(report.to_json, args.json, plain)
     return 0
 
 
@@ -130,30 +146,29 @@ def cmd_invariants(args):
         raise InputError(f"generator index {args.generator} out of range "
                          f"0..{len(algebra.generators) - 1}")
     series = invariants(algebra.generators[args.generator])
-    payload = series.to_json()
-    payload["generator_index"] = args.generator
 
     def plain(p):
         print(f"I1..I6: [{', '.join(p['I'])}]")
         print(f"Delta:  {p['Delta']}")
         print(f"char poly coefficients: [{', '.join(p['charpoly'])}]")
 
-    _emit(payload, args.json, plain)
+    _emit(lambda: {**series.to_json(), "generator_index": args.generator},
+          args.json, plain)
     return 0
 
 
 def cmd_radical(args):
     form = load_form(args.form)
     basis = form.radical()
-    payload = {"dimension": len(basis),
-               "basis": [[format_scalar(c) for c in v] for v in basis]}
 
     def plain(p):
         print(f"radical dimension: {p['dimension']}")
         for v in p["basis"]:
             print(f"  ({', '.join(v)})")
 
-    _emit(payload, args.json, plain)
+    _emit(lambda: {"dimension": len(basis),
+                   "basis": [[format_scalar(c) for c in v] for v in basis]},
+          args.json, plain)
     return 0
 
 
@@ -165,13 +180,12 @@ def cmd_transform(args):
     except SingularTransformError as exc:
         raise InputError(str(exc)) from exc
     # always emit the form JSON: the output is itself a valid form file
-    print(json.dumps(out.to_json(), indent=2, sort_keys=True))
+    _emit(out.to_json, True)
     return 0
 
 
 def cmd_compare(args):
     verdict = compare(load_form(args.form), load_form(args.other))
-    payload = verdict.to_json()
 
     def plain(p):
         print(p["verdict"])
@@ -180,21 +194,20 @@ def cmd_compare(args):
         for note in p["notes"]:
             print(f"note: {note}")
 
-    _emit(payload, args.json, plain)
+    _emit(verdict.to_json, args.json, plain)
     return 0
 
 
 def cmd_catalog_list(args):
-    payload = []
-    for entry in catalog.ENTRIES:
-        payload.append({
+    def payload():
+        return [{
             "id": entry.id,
             "affine_type": entry.tau,
             "components": entry.build(entry.defaults()).to_json(),
             "params": {p.name: format_scalar(p.default) for p in entry.params},
             "claimed_dim": entry.claimed_dim,
             "branches": len(entry.branches()),
-        })
+        } for entry in catalog.ENTRIES]
 
     def plain(p):
         print(f"{'id':6s} {'tau':3s} {'claimed':8s} {'branches':8s} components (defaults)")
@@ -213,7 +226,6 @@ def cmd_catalog_verify(args):
         audit = catalog.AuditReport(tuple(reports), ())
     else:
         audit = catalog.verify_all()
-    payload = audit.to_json()
 
     def plain(p):
         s = p["summary"]
@@ -231,14 +243,12 @@ def cmd_catalog_verify(args):
                 issues = "; ".join(r["known_issues"] + r["unknown_issues"])
                 print(f"  projective {r['id']}: {issues}")
 
-    _emit(payload, args.json, plain)
+    _emit(audit.to_json, args.json, plain)
     return 2 if audit.unknown_discrepancies else 0
 
 
 def cmd_projective_table(args):
     rows, deviations = catalog.projective_table()
-    payload = {"rows": [{"class": label, **data} for label, data in rows.items()],
-               "deviations": deviations}
 
     def plain(p):
         print(f"{'symmetry class':16s} {'recorded':22s} computed")
@@ -251,7 +261,8 @@ def cmd_projective_table(args):
             print(f"deviation ({flag}): projective {d['projective']} recorded "
                   f"under {d['recorded']}, computed {d['computed']}")
 
-    _emit(payload, args.json, plain)
+    _emit(lambda: {"rows": [{"class": label, **data} for label, data in rows.items()],
+                   "deviations": deviations}, args.json, plain)
     unknown = [d for d in deviations if not d["known"]]
     return 2 if unknown else 0
 

@@ -17,16 +17,17 @@ orbit sizes 1 / 3 / 6.
 All arithmetic is exact (fractions.Fraction); nothing here ever rounds.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import attrgetter
 
 from .linalg import nullspace
 
-Rat = Fraction
 
 COMPONENT_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "F")
+_components = attrgetter(*COMPONENT_NAMES)
+_ZERO = Fraction(0)
 
 # bijection between sorted index triples and stored component names
 TRIPLE_TO_NAME = {
@@ -110,6 +111,10 @@ class Mat3:
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat3 is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return Mat3, (self.rows,)
 
     @classmethod
     def identity(cls):
@@ -211,24 +216,34 @@ class Mat3:
                                     for row in self.rows) + "])"
 
 
-@dataclass(frozen=True)
 class CubicForm:
-    """The ten stored components of a symmetric cubic tensor."""
+    """The ten stored components of a symmetric cubic tensor.
 
-    A1: Fraction = Rat(0)
-    A2: Fraction = Rat(0)
-    A3: Fraction = Rat(0)
-    B1: Fraction = Rat(0)
-    B2: Fraction = Rat(0)
-    B3: Fraction = Rat(0)
-    C1: Fraction = Rat(0)
-    C2: Fraction = Rat(0)
-    C3: Fraction = Rat(0)
-    F: Fraction = Rat(0)
+    An immutable value: equality and hash go by class and components.  One
+    is built per Killing operator call, so it is written out here rather
+    than made a record, and it keeps an instance __dict__, where classify
+    stores the form's report.
+    """
 
-    def __post_init__(self):
-        for name in COMPONENT_NAMES:
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, A1=_ZERO, A2=_ZERO, A3=_ZERO, B1=_ZERO, B2=_ZERO, B3=_ZERO,
+                 C1=_ZERO, C2=_ZERO, C3=_ZERO, F=_ZERO):
+        d = self.__dict__
+        for name, value in zip(COMPONENT_NAMES, (A1, A2, A3, B1, B2, B3, C1, C2, C3, F)):
+            d[name] = value if value.__class__ is Fraction else Fraction(value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _components(self) == _components(other)
+
+    def __hash__(self):
+        return hash(_components(self))
 
     def component(self, alpha, beta, gamma):
         """Tensor component for any index order; permutation invariant."""

@@ -20,9 +20,9 @@ kernel basis plus the radical, with
 counting the generators that are not accounted for by radical families.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .forms import CubicForm, Mat3, SORTED_TRIPLES, TRIPLE_TO_NAME, format_scalar
 from .linalg import nullspace
 
@@ -45,7 +45,7 @@ def verify_killing(form, A):
     return killing_operator(form, A).is_zero()
 
 
-@dataclass(frozen=True)
+@record
 class KillingSystem:
     """10x9 matrix M with M . vec(A) = vec(K(A)) for every A."""
 
@@ -74,7 +74,7 @@ def build_system(form):
     return KillingSystem(matrix)
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryAlgebra:
     """Exact kernel basis of the Killing system together with the radical."""
 

@@ -6,10 +6,10 @@ the canonical pair of the nonabelian 2-dimensional algebras in the catalog
 this convention gives bracket(X1, X2) = (3/2) X2.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
+from ._record import record
 from .forms import Mat3, format_scalar
 from .linalg import coordinates_in_span, echelon_basis, rref
 
@@ -27,7 +27,7 @@ def bracket(A, B):
     return (B @ A) - (A @ B)
 
 
-@dataclass(frozen=True)
+@record
 class StructureConstants:
     """Coefficients c[k][i][j] with [X_i, X_j] = sum_k c[k][i][j] X_k."""
 
@@ -82,7 +82,7 @@ def derived_algebra(basis):
     return [Mat3.from_flat(vec) for vec in echelon_basis(products)]
 
 
-@dataclass(frozen=True)
+@record
 class InvariantSeries:
     """Traces of powers I_n = Tr(A^n) for n = 1..6, det and char poly.
 
@@ -154,7 +154,7 @@ def _nth_root(x, n):
     return sign * Fraction(rn, rd)
 
 
-@dataclass(frozen=True)
+@record
 class ColinearityVerdict:
     """Outcome of the proportionality test I_n = C^n I'_n, Delta = C^3 Delta'.
 

@@ -11,10 +11,10 @@ dimension (0, 1, 2 and infinite families) actually occur.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
+from ._record import record
 from .classify import classify, conjugated_generators, same_span
 from .forms import COMPONENT_NAMES, Mat3, form_of
 from .killing import build_system, killing_operator, solve, verify_killing
@@ -22,7 +22,7 @@ from .liealg import bracket, invariants
 from .linalg import in_span, span_equal
 
 
-@dataclass(frozen=True)
+@record
 class SuiteResult:
     name: str
     trials: int

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cubicsym import CubicForm, form_of
-from cubicsym.cli import main
+from cubicsym.cli import _emit, main
 
 
 @pytest.fixture
@@ -194,6 +194,28 @@ def test_overlong_integer_in_matrix_file_is_an_input_error(files, capsys, tmp_pa
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "is not valid JSON" in err
+
+
+def test_overlong_integer_in_output_is_an_error(files, capsys):
+    # each entry has 1,501 digits, but the pulled-back F = 10^4500 has 4,501:
+    # over the interpreter's limit for int-to-str conversion (4300)
+    form = files("g.json", {"F": 1})
+    big = "1" + "0" * 1500
+    matrix = files("t.json", [[big, 0, 0], [0, big, 0], [0, 0, big]])
+    code, out, err = run(capsys, "transform", "--form", form, "--matrix", matrix)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write the output") and err.count("\n") == 1
+    assert "limit of 4300 digits" in err
+
+
+def test_other_value_errors_in_output_propagate():
+    # only the digit-limit error becomes an error: line; a ValueError from
+    # building the payload is a fault in the program and keeps its traceback
+    def payload():
+        raise ValueError("not a digit limit")
+    with pytest.raises(ValueError, match="not a digit limit"):
+        _emit(payload, True)
 
 
 def test_missing_file(capsys):

@@ -1,0 +1,191 @@
+"""Value semantics of the frozen records.
+
+The records are plain frozen classes rather than dataclasses; they keep what
+a frozen dataclass gave them.  The repr strings are pinned to the output of
+the dataclass-based classes they replaced.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from cubicsym import CubicForm, Mat3, catalog, classify, compare, form_of, solve
+from cubicsym._record import record
+from cubicsym.classify import ComparisonVerdict, SymmetryClass
+from cubicsym.killing import SymmetryAlgebra
+
+
+@record
+class Pair:
+    a: int
+    b: object = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", int(self.a))
+
+
+@record
+class TwinPair:
+    a: int
+    b: object = None
+
+
+def test_record_init_defaults_and_post_init():
+    assert Pair("3").a == 3 and Pair("3").b is None
+    assert Pair(1, 2) == Pair(b=2, a=1) == Pair(1, b=2)
+    with pytest.raises(TypeError, match="missing argument 'a'"):
+        Pair()
+    with pytest.raises(TypeError, match="at most 2 positional"):
+        Pair(1, 2, 3)
+    with pytest.raises(TypeError, match="'c'"):
+        Pair(1, c=3)
+    with pytest.raises(TypeError, match="'a'"):
+        Pair(1, a=2)
+
+
+def test_record_equality_hash_and_repr():
+    assert Pair(1, (2,)) == Pair(1, (2,))
+    assert Pair(1) != Pair(2)
+    assert Pair(1) != TwinPair(1) and TwinPair(1) != Pair(1)
+    assert Pair(1) != (1, None)
+    assert hash(Pair(1, "x")) == hash((1, "x"))
+    assert repr(Pair(1, "x")) == "Pair(a=1, b='x')"
+    assert not hasattr(Pair(1), "__dict__")
+    with pytest.raises(AttributeError):
+        Pair(1).a = 2
+    with pytest.raises(AttributeError):
+        Pair(1).c = 2
+    with pytest.raises(AttributeError):
+        del Pair(1).a
+
+
+class LazyAnnotations(type):
+    """Keeps the annotations out of the class dict, as Python 3.14 does."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = namespace.pop("__annotations__", {})
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls.lazy_fields = fields
+        return cls
+
+    @property
+    def __annotations__(cls):
+        return cls.lazy_fields
+
+
+def test_record_reads_annotations_built_on_access():
+    @record
+    class Lazy(metaclass=LazyAnnotations):
+        a: int
+        b: int = 2
+
+    assert Lazy(1) == Lazy(a=1, b=2) and Lazy(1).b == 2
+
+
+def test_record_without_fields_is_refused():
+    with pytest.raises(TypeError, match="annotates no fields"):
+        @record
+        class Empty:
+            pass
+
+
+def test_cubic_form():
+    g = form_of(A1=1, F=Fraction(-1, 2))
+    assert g == CubicForm(1, F="-1/2") == CubicForm(A1=Fraction(1), F=Fraction(-1, 2))
+    assert g != form_of(A1=1) and g != Mat3.identity() and g != g.to_json()
+    assert hash(g) == hash(CubicForm(A1=1, F=Fraction(-1, 2)))
+    assert isinstance(CubicForm(2).A1, Fraction) and CubicForm().F == 0
+    assert repr(g) == "CubicForm(A1=1, F=-1/2)"
+    assert repr(CubicForm()) == "CubicForm(0)"
+    with pytest.raises(AttributeError):
+        g.A1 = Fraction(2)
+    with pytest.raises(AttributeError):
+        del g.F
+    # a stored report is not a component: equality and hash ignore it
+    h = form_of(A1=1, F=Fraction(-1, 2))
+    classify(g)
+    assert g == h and hash(g) == hash(h)
+
+
+def test_symmetry_algebra():
+    algebra = solve(form_of(B1=1))
+    assert algebra == solve(form_of(B1=1))
+    assert algebra != solve(form_of(F=1))
+    assert hash(algebra) == hash(solve(form_of(B1=1)))
+    assert repr(algebra) == (
+        "SymmetryAlgebra(generators=(Mat3([[-2, 0, 0], [0, 1, 0], [0, 0, 0]]), "
+        "Mat3([[0, 0, 0], [0, 0, 0], [1, 0, 0]]), Mat3([[0, 0, 0], [0, 0, 0], [0, 1, 0]]), "
+        "Mat3([[0, 0, 0], [0, 0, 0], [0, 0, 1]])), radical_basis=((Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(1, 1)),), has_infinite_family=True, finite_nontrivial_dim=1)")
+    with pytest.raises(AttributeError):
+        algebra.finite_nontrivial_dim = 0
+
+
+def test_classification_report():
+    report = classify(form_of(A1=1, F=1))
+    other = classify(form_of(A1=1, F=1))
+    assert report is not other and report == other and hash(report) == hash(other)
+    assert report != classify(form_of(F=1))
+    assert report != report.symmetry_class
+    assert report.symmetry_class == SymmetryClass("5", "6")
+    assert report.symmetry_class != SymmetryClass("5")
+    assert repr(report) == (
+        "ClassificationReport(symmetry_class=SymmetryClass(label='5', "
+        "complex_equivalent_to='6'), algebra=SymmetryAlgebra(generators=(Mat3([[0, 0, 0], "
+        "[0, -1, 0], [0, 0, 1]]),), radical_basis=(), has_infinite_family=False, "
+        "finite_nontrivial_dim=1), invariant_series=InvariantSeries(I=(Fraction(0, 1), "
+        "Fraction(2, 1), Fraction(0, 1), Fraction(2, 1), Fraction(0, 1), Fraction(2, 1)), "
+        "delta=Fraction(0, 1), charpoly=(Fraction(1, 1), Fraction(0, 1), Fraction(-1, 1), "
+        "Fraction(0, 1))), structure=None, notes=())")
+    with pytest.raises(AttributeError):
+        report.notes = ("changed",)
+
+
+def test_comparison_verdict():
+    verdict = compare(form_of(A1=1, F=1), form_of(A1=1, F=-1))
+    assert verdict == ComparisonVerdict(
+        "POSSIBLY_EQUIVALENT", notes=("invariant series proportional with real constant",))
+    assert verdict != ComparisonVerdict("POSSIBLY_EQUIVALENT")
+    assert verdict != SymmetryClass("POSSIBLY_EQUIVALENT")
+    assert hash(verdict) == hash(("POSSIBLY_EQUIVALENT", None, verdict.notes))
+    assert repr(verdict) == (
+        "ComparisonVerdict(verdict='POSSIBLY_EQUIVALENT', witness=None, "
+        "notes=('invariant series proportional with real constant',))")
+    assert repr(compare(form_of(F=1), form_of(A1=1, F=1))) == (
+        "ComparisonVerdict(verdict='NOT_EQUIVALENT', witness='symmetry class 1 vs 5', notes=())")
+    with pytest.raises(AttributeError):
+        verdict.verdict = "NOT_EQUIVALENT"
+
+
+def test_catalog_branch():
+    branch = catalog.get_entry("2.5").branches()[1]
+    assert branch == catalog.get_entry("2.5").branches()[1]
+    assert branch != catalog.get_entry("2.5").branches()[0]
+    assert branch != branch.expected
+    assert repr(branch) == (
+        "Branch(label='eps=-1', params={'eps': Fraction(-1, 1)}, claim='1', "
+        "expected=Expected(finite_dim=2, infinite=False, label='1'), tau=2, boundary=False)")
+    # params is a dict, so a branch is unhashable, as the dataclass was
+    with pytest.raises(TypeError, match="dict"):
+        hash(branch)
+    assert hash(branch.expected) == hash((2, False, "1"))
+    with pytest.raises(AttributeError):
+        branch.tau = 3
+
+
+def test_pickle_and_copy():
+    g = form_of(A1=1, F=Fraction(-1, 2))
+    # the algebra and the report hold Mat3 generators, which pickle too
+    values = [Pair(1, (2,)), g, Mat3.diag(1, Fraction(1, 2), -3), solve(g), classify(g),
+              compare(g, g), catalog.get_entry("2.5").branches()[1]]
+    for value in values:
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+
+
+def test_catalog_entry_post_init_defaults_the_invariant_matrix():
+    entry = next(e for e in catalog.ENTRIES if e.series is not None)
+    params = entry.defaults()
+    assert entry.inv_matrix(params) == entry.generators(params)[0]
