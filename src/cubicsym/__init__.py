@@ -19,7 +19,7 @@ Python 3.11).
 from importlib import import_module
 
 from .forms import (CubicForm, Mat3, SingularTransformError, form_of,
-                    symmetrized_monomial, tau0_upper_bound, vec3)
+                    symmetrized_monomial, tau0_upper_bound)
 from .killing import (KillingSystem, SymmetryAlgebra, build_system,
                       killing_operator, solve, verify_killing)
 from .liealg import (ColinearityVerdict, DependentBasisError, InvariantSeries,
@@ -31,7 +31,7 @@ from .classify import (ClassificationReport, ComparisonVerdict, SymmetryClass,
 
 __all__ = [
     "CubicForm", "Mat3", "SingularTransformError", "form_of",
-    "symmetrized_monomial", "tau0_upper_bound", "vec3",
+    "symmetrized_monomial", "tau0_upper_bound",
     "KillingSystem", "SymmetryAlgebra", "build_system", "killing_operator",
     "solve", "verify_killing",
     "ColinearityVerdict", "DependentBasisError", "InvariantSeries",

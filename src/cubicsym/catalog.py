@@ -31,8 +31,6 @@ from .killing import solve, verify_killing  # noqa: F401
 from .liealg import invariants
 from .linalg import in_span
 
-Rat = Fraction
-
 
 class ParameterRangeError(ValueError):
     """A catalog parameter was given a value outside its declared range."""
@@ -693,15 +691,15 @@ def _psample(label, params, recorded, expected=None):
 
 
 GENERAL_SAMPLES = (
-    _psample("F=-2 (F below the lower irrational threshold)", {"F": Rat(-2)}, "8"),
-    _psample("F=-1 (between the lower threshold and -1/2)", {"F": Rat(-1)}, "8"),
-    _psample("F=-1/2 (degenerate: the form factors)", {"F": Rat(-1, 2)}, "1"),
-    _psample("F=-1/4 (between -1/2 and 0)", {"F": Rat(-1, 4)}, "8"),
-    _psample("F=0", {"F": Rat(0)}, "8"),
-    _psample("F=1/4 (between 0 and the upper irrational threshold)", {"F": Rat(1, 4)}, "8"),
-    _psample("F=1/2 (between the upper threshold and 1)", {"F": Rat(1, 2)}, "8"),
-    _psample("F=1", {"F": Rat(1)}, "8"),
-    _psample("F=2 (F>1)", {"F": Rat(2)}, "8"),
+    _psample("F=-2 (F below the lower irrational threshold)", {"F": Fraction(-2)}, "8"),
+    _psample("F=-1 (between the lower threshold and -1/2)", {"F": Fraction(-1)}, "8"),
+    _psample("F=-1/2 (degenerate: the form factors)", {"F": Fraction(-1, 2)}, "1"),
+    _psample("F=-1/4 (between -1/2 and 0)", {"F": Fraction(-1, 4)}, "8"),
+    _psample("F=0", {"F": Fraction(0)}, "8"),
+    _psample("F=1/4 (between 0 and the upper irrational threshold)", {"F": Fraction(1, 4)}, "8"),
+    _psample("F=1/2 (between the upper threshold and 1)", {"F": Fraction(1, 2)}, "8"),
+    _psample("F=1", {"F": Fraction(1)}, "8"),
+    _psample("F=2 (F>1)", {"F": Fraction(2)}, "8"),
 )
 
 PROJECTIVE_ENTRIES = (
@@ -1002,14 +1000,9 @@ def verify_branch(entry, branch):
     )
 
 
-def verify_entry(entry_id, overrides=None):
-    """Audit a single entry; with overrides, audit just that instance."""
+def verify_entry(entry_id):
+    """Audit every branch of a single entry."""
     entry = get_entry(entry_id)
-    if overrides is not None:
-        params = entry.resolve_params(overrides)
-        branch = Branch("custom", params, entry.claimed_dim,
-                        entry.expected_at(params), entry.tau, boundary=True)
-        return [verify_branch(entry, branch)]
     return [verify_branch(entry, b) for b in entry.branches()]
 
 

@@ -151,8 +151,9 @@ def compare(form1, form2):
     """Necessary conditions for affine equivalence; never claims equivalence.
 
     Returns NOT_EQUIVALENT with a witness (class label, radical dimension,
-    abelian type or failed colinearity) or POSSIBLY_EQUIVALENT when every
-    implemented invariant agrees.
+    finite symmetry dimension or failed colinearity) or POSSIBLY_EQUIVALENT
+    when every implemented invariant agrees.  Abelian and nonabelian algebras
+    need no check of their own: they carry different class labels, 1 and 2.
     """
     rep1, rep2 = classify(form1), classify(form2)
     notes = []
@@ -187,11 +188,6 @@ def compare(form1, form2):
                         f"numbers (C^2 = {verdict.C_squared})",
                 notes=("complex-equivalence: the metrics share a complexification",))
         notes.append("invariant series proportional with real constant")
-    if rep1.structure is not None and rep2.structure is not None:
-        ab1 = rep1.structure.is_zero()
-        ab2 = rep2.structure.is_zero()
-        if ab1 != ab2:
-            return ComparisonVerdict(NOT_EQUIVALENT, witness="abelian vs nonabelian")
     return ComparisonVerdict(POSSIBLY_EQUIVALENT, notes=tuple(notes))
 
 

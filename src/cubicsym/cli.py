@@ -14,7 +14,7 @@ Subcommands:
     selftest         randomized property suites plus the full audit
 
 Forms are JSON objects with component keys A1..A3, B1..B3, C1..C3, F and
-integer, "p/q" or decimal ("0.5") values, with no exponent notation;
+integer, "p/q" or decimal ("0.5") values in ASCII digits, with no exponent;
 missing keys are zero.  Transforms are 3x3 arrays of entries of the same
 kinds.  All output rationals are in lowest terms.
 
@@ -63,7 +63,7 @@ def load_matrix(path):
     data = _load_json(path, "matrix")
     try:
         return Mat3.from_json(data)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"matrix file {path!r}: {exc}") from exc
 
 

@@ -17,6 +17,7 @@ orbit sizes 1 / 3 / 6.
 All arithmetic is exact (fractions.Fraction); nothing here ever rounds.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -52,19 +53,30 @@ _FULL_INDEX = tuple(tuple(tuple(SORTED_TRIPLES.index(tuple(sorted((d, e, f))))
 _ORBIT_SIZE = {t: (1 if t[0] == t[2] else (6 if len(set(t)) == 3 else 3))
                for t in SORTED_TRIPLES}
 
+# the scalar strings every supported Python parses alike: '-3', '3/4', '0.5', '2.', '.5'
+_SCALAR = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
 
 def parse_scalar(value):
-    """Parse an exact rational from an int, Fraction, or an integer, 'p/q' or
-    decimal string.  Exponent notation ('1e5') is refused: Fraction would
-    expand it to an integer of any size before a check could run."""
+    """Parse an exact rational from an int, Fraction, or a string in the
+    grammar of _SCALAR: an integer, 'p/q' or a decimal, in ASCII digits with
+    an optional sign and surrounding whitespace.  The grammar is checked here
+    rather than left to Fraction, whose own grammar differs between Python
+    releases; exponent notation ('1e5') is refused, as Fraction would expand
+    it to an integer of any size before a check could run."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise ValueError(f"exponent notation is not accepted: {value!r}")
-        return Fraction(value.strip())
+        text = value.strip()
+        if _SCALAR.fullmatch(text) is None:
+            raise ValueError("expected an integer, 'p/q' or a decimal in ASCII digits "
+                             f"without exponent: {value!r}")
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -77,10 +89,6 @@ def format_scalar(x):
 def scalar_to_json(x):
     x = Fraction(x)
     return int(x) if x.denominator == 1 else format_scalar(x)
-
-
-def vec3(x1, x2, x3):
-    return (Fraction(x1), Fraction(x2), Fraction(x3))
 
 
 class SingularTransformError(ValueError):
@@ -324,7 +332,7 @@ class CubicForm:
                 raise ValueError(f"unknown component key {key!r}")
             try:
                 comps[key] = parse_scalar(value)
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"bad value for component {key!r}: {value!r}") from exc
         return cls(**comps)
 
@@ -373,6 +381,16 @@ def _int_tensor(form):
     return [[[flat[k] for k in row] for row in plane] for plane in _FULL_INDEX], m
 
 
+def _third_columns(t0_a, t1_a, reach_b, k):
+    """Columns c with d(c) + t(a,c) + t(b,c) <= k (see tau0_upper_bound),
+    from a's masks of t(a,c) = 0 and t(a,c) <= 1 and b's reach masks."""
+    if k == 0:
+        return t0_a & reach_b[0]
+    if k == 1:
+        return t0_a & reach_b[1] | t1_a & reach_b[0]
+    return t0_a & reach_b[k] | t1_a & reach_b[k - 1] | reach_b[k - 2]
+
+
 def tau0_upper_bound(form, radius):
     """Minimum affine type over integer frames with entries in [-radius, radius].
 
@@ -382,13 +400,18 @@ def tau0_upper_bound(form, radius):
     the bound never exceeds the current affine type.
 
     Frames are column triples a < b < c of canonical columns.  Nine of the ten
-    pulled-back components have the shape G(u,u,v): A1..A3 = Q[x][x],
-    C1 = Q[a][b], C2 = Q[a][c], C3 = Q[b][c], B1 = Q[b][a], B2 = Q[c][a] and
-    B3 = Q[c][b], with Q[u][v] = G(u,u,v) tabulated once per call.  Only
-    F = G(a,b,c) is computed per triple.  A column pair whose known nonzero
-    count already reaches the best bound is skipped with all its triples, and
-    the determinant is evaluated only for a triple that would improve the
-    bound, so the first strictly improving frame in enumeration order wins.
+    pulled-back components have the shape G(u,u,v): A1..A3 = G(x,x,x),
+    C1 = G(a,a,b), C2 = G(a,a,c), C3 = G(b,b,c), B1 = G(b,b,a), B2 = G(c,c,a)
+    and B3 = G(c,c,b).  So besides F = G(a,b,c) a frame has
+    d(a) + d(b) + d(c) + t(a,b) + t(a,c) + t(b,c) nonzero components, with
+    d(u) = [G(u,u,u) != 0] and t(u,v) = [G(u,u,v) != 0] + [G(v,v,u) != 0].
+    Once per call the zero pattern of G(u,u,v) becomes bitmasks over the
+    columns.  The second columns b that can still beat the best bound, and
+    the third columns c of a pair, are then a few mask ANDs and ORs; they are
+    walked in increasing order and narrowed whenever the bound drops.  G(a,b,.)
+    is computed only for a pair with a candidate c, and the determinant only
+    for a triple that would improve the bound, so the first strictly improving
+    frame in enumeration order wins.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -400,45 +423,84 @@ def tau0_upper_bound(form, radius):
     tensor, _ = _int_tensor(form)
     cols = _canonical_columns(radius)
     ncols = len(cols)
+    full = (1 << ncols) - 1
     # slices[u][e][f] = G(u, e, f) and quad[u][f] = G(u, u, f)
     slices = [[[u[0] * tensor[0][e][f] + u[1] * tensor[1][e][f] + u[2] * tensor[2][e][f]
                 for f in range(3)] for e in range(3)] for u in cols]
     quad = [[u[0] * m[0][f] + u[1] * m[1][f] + u[2] * m[2][f] for f in range(3)]
             for u, m in zip(cols, slices)]
-    # nz[u][v] = 1 when Q[u][v] = G(u, u, v) is nonzero; nzt is its transpose
-    nz = [[int(q[0] * v[0] + q[1] * v[1] + q[2] * v[2] != 0) for v in cols] for q in quad]
-    nzt = [list(row) for row in zip(*nz)]
-    diag = [nz[i][i] for i in range(ncols)]
+    # zero[u]: columns v with G(u, u, v) = 0; zero_t[u]: columns v with G(v, v, u) = 0.
+    # quad[u] . v for every v at once: column v owns a w-bit field of a packed
+    # int holding quad[u] . v + bound, which lies in [0, 2 bound], and a field
+    # is zero exactly when its top bit survives high & ~(((e & low) + low) | e).
+    bound = radius * max(abs(q[0]) + abs(q[1]) + abs(q[2]) for q in quad)
+    w = (2 * bound).bit_length() + 1
+    ones = sum(1 << (w * iv) for iv in range(ncols))
+    high = ones << (w - 1)
+    low = high - ones
+    biased = bound * ones
+    packed = [sum(v[i] << (w * iv) for iv, v in enumerate(cols)) for i in range(3)]
+    zero = [0] * ncols
+    zero_t = [0] * ncols
+    for iu, q in enumerate(quad):
+        e = (q[0] * packed[0] + q[1] * packed[1] + q[2] * packed[2] + biased) ^ biased
+        m = high & ~(((e & low) + low) | e)
+        while m:
+            bit = m & -m
+            iv = bit.bit_length() // w - 1
+            zero[iu] |= 1 << iv
+            zero_t[iv] |= 1 << iu
+            m ^= bit
+    # flat: columns v with d(v) = 0
+    flat = sum(1 << iu for iu in range(ncols) if zero[iu] >> iu & 1)
+    # t0[u], t1[u]: columns v with t(u, v) = 0 and with t(u, v) <= 1
+    t0 = [z & zt for z, zt in zip(zero, zero_t)]
+    t1 = [z | zt for z, zt in zip(zero, zero_t)]
+    # reach[u][k]: columns v with d(v) + t(u, v) <= k, for k <= 9
+    reach = [(flat & m0, flat & m1 | m0, flat | m1) + (full,) * 7 for m0, m1 in zip(t0, t1)]
+    # after[i]: columns after column i
+    after = [full ^ ((2 << i) - 1) for i in range(ncols)]
     for ia in range(ncols):
-        ca, ma, nza, nzta = cols[ia], slices[ia], nz[ia], nzt[ia]
-        count_a = diag[ia]                                   # A1
-        for ib in range(ia + 1, ncols):
-            count_ab = count_a + diag[ib] + nza[ib] + nzta[ib]    # A2, C1, B1
-            if count_ab >= best:
+        ca, ma, za, zta, t0_a, t1_a, reach_a = (cols[ia], slices[ia], zero[ia], zero_t[ia],
+                                                t0[ia], t1[ia], reach[ia])
+        count_a = 1 - (flat >> ia & 1)                                   # A1
+        bmask = reach_a[best - 1 - count_a] & after[ia]
+        while bmask:
+            bit = bmask & -bmask
+            bmask ^= bit
+            ib = bit.bit_length() - 1
+            # A2, C1, B1
+            count_ab = count_a + 3 - (flat >> ib & 1) - (za >> ib & 1) - (zta >> ib & 1)
+            reach_b = reach[ib]
+            cmask = _third_columns(t0_a, t1_a, reach_b, best - 1 - count_ab) & after[ib]
+            if not cmask:
                 continue
-            cb, nzb, nztb = cols[ib], nz[ib], nzt[ib]
+            cb, zb, ztb = cols[ib], zero[ib], zero_t[ib]
             # G(a, b, .) and a x b, once per pair
             f0, f1, f2 = (ma[0][f] * cb[0] + ma[1][f] * cb[1] + ma[2][f] * cb[2]
                           for f in range(3))
             x0 = ca[1] * cb[2] - ca[2] * cb[1]
             x1 = ca[2] * cb[0] - ca[0] * cb[2]
             x2 = ca[0] * cb[1] - ca[1] * cb[0]
-            for ic in range(ib + 1, ncols):
-                # A3, C2, B2, C3, B3
-                count = count_ab + diag[ic] + nza[ic] + nzta[ic] + nzb[ic] + nztb[ic]
-                if count >= best:
-                    continue
+            while cmask:
+                bit = cmask & -cmask
+                cmask ^= bit
+                ic = bit.bit_length() - 1
                 cc = cols[ic]
-                if f0 * cc[0] + f1 * cc[1] + f2 * cc[2] != 0:     # F
-                    count += 1
-                    if count >= best:
-                        continue
                 if x0 * cc[0] + x1 * cc[1] + x2 * cc[2] == 0:
+                    continue
+                # A3, C2, B2, C3, B3 and F
+                count = (count_ab + 5 - (flat >> ic & 1) - (za >> ic & 1) - (zta >> ic & 1)
+                         - (zb >> ic & 1) - (ztb >> ic & 1)
+                         + (f0 * cc[0] + f1 * cc[1] + f2 * cc[2] != 0))
+                if count >= best:
                     continue
                 best = count
                 witness = Mat3(tuple(zip(ca, cb, cc)))
                 if best == floor:
                     return best, witness
+                bmask &= reach_a[best - 1 - count_a]
                 if count_ab >= best:
                     break
+                cmask &= _third_columns(t0_a, t1_a, reach_b, best - 1 - count_ab)
     return best, witness

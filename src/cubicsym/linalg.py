@@ -13,8 +13,6 @@ for a given input.
 from fractions import Fraction
 from math import gcd, lcm
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

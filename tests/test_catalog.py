@@ -84,12 +84,6 @@ def test_verify_entry_known_discrepancy():
     assert all(r.computed_finite == 2 for r in reports)
 
 
-def test_verify_entry_custom_parameters():
-    reports = verify_entry("6.1", {"F": Fraction(1, 2)})
-    assert len(reports) == 1
-    assert reports[0].computed_class == "6"
-
-
 def test_full_audit_is_clean():
     audit = verify_all()
     assert audit.unknown_discrepancies == []
@@ -176,6 +170,7 @@ def test_boundary_branches_have_expected_classes():
         ("5.3", {"C2": 2, "C3": Fraction(1, 2)}, "2"),
         ("5.4", {"C3": 1}, "2"),
         ("6.1", {"C3": 4}, "2"),
+        ("6.1", {"F": Fraction(1, 2)}, "6"),
     ]
     from cubicsym import classify
     for cid, overrides, label in checks:

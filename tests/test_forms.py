@@ -9,8 +9,9 @@ import pytest
 
 from cubicsym import CubicForm, Mat3, SingularTransformError, form_of, \
     symmetrized_monomial, tau0_upper_bound
+from cubicsym.catalog import ENTRIES
 from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, \
-    _canonical_columns, parse_scalar
+    _canonical_columns, _int_tensor, parse_scalar
 from cubicsym.properties import random_form, random_invertible, random_vec
 
 
@@ -299,6 +300,74 @@ def test_tau0_matches_brute_force_at_radius_2():
         assert tau0_upper_bound(g, 2) == tau0_brute_force(g, 2)
 
 
+def tau0_table_oracle(form, radius):
+    # reference search: the table-driven loop, testing every column pair and
+    # every third column against lookup tables of G(u, u, v) != 0
+    best = form.affine_type()
+    witness = Mat3.identity()
+    floor = 0 if best == 0 else 1
+    if best == floor:
+        return best, witness
+    tensor, _ = _int_tensor(form)
+    cols = _canonical_columns(radius)
+    ncols = len(cols)
+    slices = [[[u[0] * tensor[0][e][f] + u[1] * tensor[1][e][f] + u[2] * tensor[2][e][f]
+                for f in range(3)] for e in range(3)] for u in cols]
+    quad = [[u[0] * m[0][f] + u[1] * m[1][f] + u[2] * m[2][f] for f in range(3)]
+            for u, m in zip(cols, slices)]
+    nz = [[int(q[0] * v[0] + q[1] * v[1] + q[2] * v[2] != 0) for v in cols] for q in quad]
+    nzt = [list(row) for row in zip(*nz)]
+    diag = [nz[i][i] for i in range(ncols)]
+    for ia in range(ncols):
+        ca, ma, nza, nzta = cols[ia], slices[ia], nz[ia], nzt[ia]
+        count_a = diag[ia]
+        for ib in range(ia + 1, ncols):
+            count_ab = count_a + diag[ib] + nza[ib] + nzta[ib]
+            if count_ab >= best:
+                continue
+            cb, nzb, nztb = cols[ib], nz[ib], nzt[ib]
+            f0, f1, f2 = (ma[0][f] * cb[0] + ma[1][f] * cb[1] + ma[2][f] * cb[2]
+                          for f in range(3))
+            x0 = ca[1] * cb[2] - ca[2] * cb[1]
+            x1 = ca[2] * cb[0] - ca[0] * cb[2]
+            x2 = ca[0] * cb[1] - ca[1] * cb[0]
+            for ic in range(ib + 1, ncols):
+                count = count_ab + diag[ic] + nza[ic] + nzta[ic] + nzb[ic] + nztb[ic]
+                if count >= best:
+                    continue
+                cc = cols[ic]
+                if f0 * cc[0] + f1 * cc[1] + f2 * cc[2] != 0:
+                    count += 1
+                    if count >= best:
+                        continue
+                if x0 * cc[0] + x1 * cc[1] + x2 * cc[2] == 0:
+                    continue
+                best = count
+                witness = Mat3(tuple(zip(ca, cb, cc)))
+                if best == floor:
+                    return best, witness
+                if count_ab >= best:
+                    break
+    return best, witness
+
+
+def test_tau0_matches_table_oracle():
+    # every audited catalog branch, each pulled back to a seeded random frame,
+    # box and random draws, a few with 40-digit coefficients, and the zero form
+    rng = random.Random(43)
+    branches = [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()]
+    forms = branches + [g.pullback(random_invertible(rng)) for g in branches]
+    forms += [CubicForm(**{n: rng.choice((-1, 0, 1)) for n in COMPONENT_NAMES})
+              for _ in range(50)]
+    forms += [random_form(rng) for _ in range(50)]
+    forms += [g.scale(Fraction(10 ** 40, 3)) for g in forms[-5:]]
+    forms.append(form_of())
+    assert len(branches) == 77 and len(forms) >= 250
+    for g in forms:
+        for radius in (1, 2):
+            assert tau0_upper_bound(g, radius) == tau0_table_oracle(g, radius), (g, radius)
+
+
 def test_json_round_trip():
     rng = random.Random(29)
     for _ in range(30):
@@ -321,6 +390,29 @@ def test_json_rejects_booleans():
         parse_scalar(True)
     with pytest.raises(ValueError, match="F"):
         CubicForm.from_json({"F": True})
+
+
+def test_scalar_grammar_does_not_depend_on_the_python_release():
+    # Fraction alone accepts "1_000" from 3.11 and "1 / 2" from 3.12 on
+    accepted = {"7": 7, " -3/4 ": Fraction(-3, 4), "+0.25": Fraction(1, 4), "2.": 2,
+                ".5": Fraction(1, 2), "-0": 0, "06/08": Fraction(3, 4)}
+    for text, value in accepted.items():
+        assert parse_scalar(text) == value, text
+    for text in ("1_000", "1 / 2", "1/ 2", "1e5", "1E5", "2.5e-3", "\u0663", "1/\u0663",
+                 "", " ", "/2", "1/-2", "1/+2", "--1", "1.5/2", "1/2.5", "0x10", "inf",
+                 "nan", "."):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+def test_zero_denominator_is_a_value_error():
+    for text in ("1/0", "-3/00"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+    with pytest.raises(ValueError):
+        Mat3.from_json([[1, 0, 0], [0, "1/0", 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="F"):
+        CubicForm.from_json({"F": "1/0"})
 
 
 def test_mat3_json_checks_row_shape():
