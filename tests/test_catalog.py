@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from cubicsym import catalog, form_of, solve, verify_killing
-from cubicsym.catalog import ENTRIES, KNOWN_DISCREPANCIES, ParameterRangeError, \
-    export_catalog, general_subclass, get_entry, projective_table, verify_all, \
-    verify_entry
+from cubicsym.catalog import ENTRIES, KNOWN_DISCREPANCIES, Branch, \
+    ParameterRangeError, export_catalog, general_subclass, get_entry, \
+    projective_table, verify_all, verify_branch, verify_entry
 
 DATA_FILE = Path(__file__).resolve().parent.parent / "src" / "cubicsym" / \
     "data" / "catalog.json"
@@ -82,6 +82,17 @@ def test_verify_entry_known_discrepancy():
     # oracle truth is still reproduced exactly
     assert all(r.oracle_ok for r in reports)
     assert all(r.computed_finite == 2 for r in reports)
+
+
+def test_verify_entry_custom_parameters():
+    # one instance of an entry at chosen parameters is audited by verify_branch
+    entry = get_entry("6.1")
+    params = entry.resolve_params({"F": Fraction(1, 2)})
+    branch = Branch("F=1/2", params, entry.claimed_dim,
+                    entry.expected_at(params), entry.tau, boundary=True)
+    report = verify_branch(entry, branch)
+    assert report.computed_class == "6"
+    assert report.params == params
 
 
 def test_full_audit_is_clean():
@@ -170,7 +181,6 @@ def test_boundary_branches_have_expected_classes():
         ("5.3", {"C2": 2, "C3": Fraction(1, 2)}, "2"),
         ("5.4", {"C3": 1}, "2"),
         ("6.1", {"C3": 4}, "2"),
-        ("6.1", {"F": Fraction(1, 2)}, "6"),
     ]
     from cubicsym import classify
     for cid, overrides, label in checks:
