@@ -19,6 +19,7 @@ All arithmetic is exact (fractions.Fraction); nothing here ever rounds.
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import attrgetter
@@ -381,14 +382,40 @@ def _int_tensor(form):
     return [[[flat[k] for k in row] for row in plane] for plane in _FULL_INDEX], m
 
 
-def _third_columns(t0_a, t1_a, reach_b, k):
-    """Columns c with d(c) + t(a,c) + t(b,c) <= k (see tau0_upper_bound),
-    from a's masks of t(a,c) = 0 and t(a,c) <= 1 and b's reach masks."""
-    if k == 0:
-        return t0_a & reach_b[0]
-    if k == 1:
-        return t0_a & reach_b[1] | t1_a & reach_b[0]
-    return t0_a & reach_b[k] | t1_a & reach_b[k - 1] | reach_b[k - 2]
+@lru_cache(maxsize=4)
+def _frame_tables(radius):
+    """The tables of the frame search that depend only on the radius:
+    (cols, monos, after).  cols are the canonical columns, monos[u] the
+    quadratic monomials u_d u_e of column u in the order 11, 12, 13, 22, 23,
+    33, and after[u] the mask of the columns after column u."""
+    cols = tuple(_canonical_columns(radius))
+    monos = tuple((u0 * u0, u0 * u1, u0 * u2, u1 * u1, u1 * u2, u2 * u2)
+                  for u0, u1, u2 in cols)
+    full = (1 << len(cols)) - 1
+    after = tuple(full ^ ((2 << i) - 1) for i in range(len(cols)))
+    return cols, monos, after
+
+
+def _second_columns(flat, t0_a, t1_a, base, full):
+    """Columns b that leave a pair (a, b) a candidate third column c > b (see
+    tau0_upper_bound), from a's masks of t(a,v) = 0 and t(a,v) <= 1 and
+    base = best - 4 - d(a).
+
+    With s(b) = [d(b) = 0] + [G(a,a,b) = 0] + [G(b,b,a) = 0], the pair may
+    still spend k = base + s(b) nonzero components on c, and every such c lies
+    in Z_k: t0_a & flat, t0_a | t1_a & flat, t1_a | flat, then every column.
+    So b must come before the last column of Z_k."""
+    parity = flat ^ t0_a ^ t1_a
+    major = flat & t1_a | t0_a
+    levels = (t0_a & flat, t0_a | t1_a & flat, t1_a | flat, full)
+    mask = 0
+    for s, cls in enumerate((~(flat | t1_a), parity ^ parity & major,
+                             major ^ parity & major, parity & major)):
+        k = base + s
+        if k >= 0:
+            z = levels[min(k, 3)]
+            mask |= cls & ((1 << z.bit_length()) - 1) >> 1
+    return mask
 
 
 def tau0_upper_bound(form, radius):
@@ -405,30 +432,33 @@ def tau0_upper_bound(form, radius):
     and B3 = G(c,c,b).  So besides F = G(a,b,c) a frame has
     d(a) + d(b) + d(c) + t(a,b) + t(a,c) + t(b,c) nonzero components, with
     d(u) = [G(u,u,u) != 0] and t(u,v) = [G(u,u,v) != 0] + [G(v,v,u) != 0].
-    Once per call the zero pattern of G(u,u,v) becomes bitmasks over the
-    columns.  The second columns b that can still beat the best bound, and
-    the third columns c of a pair, are then a few mask ANDs and ORs; they are
-    walked in increasing order and narrowed whenever the bound drops.  G(a,b,.)
-    is computed only for a pair with a candidate c, and the determinant only
-    for a triple that would improve the bound, so the first strictly improving
-    frame in enumeration order wins.
+    The columns, their quadratic monomials and the masks of later columns are
+    built once per radius (_frame_tables); per call G(u,u,.) comes from the
+    monomials and the zero pattern of G(u,u,v) becomes bitmasks over the
+    columns.  The second columns b of a first column a that leave a candidate
+    third column (_second_columns), and the third columns c of a pair, are
+    then a few mask ANDs and ORs; they are walked in increasing order and
+    narrowed whenever the bound drops.  G(a,.,.) is computed only for a first
+    column with a candidate pair, G(a,b,.) only for a pair with a candidate c,
+    and the determinant only for a triple that would improve the bound, so
+    the first strictly improving frame in enumeration order wins.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
+        raise ValueError("radius must be an int >= 1")
     best = form.affine_type()
     witness = Mat3.identity()
     floor = 0 if best == 0 else 1
     if best == floor:
         return best, witness
     tensor, _ = _int_tensor(form)
-    cols = _canonical_columns(radius)
+    cols, monos, after = _frame_tables(radius)
     ncols = len(cols)
     full = (1 << ncols) - 1
-    # slices[u][e][f] = G(u, e, f) and quad[u][f] = G(u, u, f)
-    slices = [[[u[0] * tensor[0][e][f] + u[1] * tensor[1][e][f] + u[2] * tensor[2][e][f]
-                for f in range(3)] for e in range(3)] for u in cols]
-    quad = [[u[0] * m[0][f] + u[1] * m[1][f] + u[2] * m[2][f] for f in range(3)]
-            for u, m in zip(cols, slices)]
+    # quad[u][f] = G(u, u, f) = sum over d <= e of u_d u_e coef[f][de]
+    coef = [(tensor[0][0][f], 2 * tensor[0][1][f], 2 * tensor[0][2][f],
+             tensor[1][1][f], 2 * tensor[1][2][f], tensor[2][2][f]) for f in range(3)]
+    quad = [[m[0] * c[0] + m[1] * c[1] + m[2] * c[2] + m[3] * c[3] + m[4] * c[4] + m[5] * c[5]
+             for c in coef] for m in monos]
     # zero[u]: columns v with G(u, u, v) = 0; zero_t[u]: columns v with G(v, v, u) = 0.
     # quad[u] . v for every v at once: column v owns a w-bit field of a packed
     # int holding quad[u] . v + bound, which lies in [0, 2 bound], and a field
@@ -453,28 +483,35 @@ def tau0_upper_bound(form, radius):
             m ^= bit
     # flat: columns v with d(v) = 0
     flat = sum(1 << iu for iu in range(ncols) if zero[iu] >> iu & 1)
-    # t0[u], t1[u]: columns v with t(u, v) = 0 and with t(u, v) <= 1
-    t0 = [z & zt for z, zt in zip(zero, zero_t)]
-    t1 = [z | zt for z, zt in zip(zero, zero_t)]
-    # reach[u][k]: columns v with d(v) + t(u, v) <= k, for k <= 9
-    reach = [(flat & m0, flat & m1 | m0, flat | m1) + (full,) * 7 for m0, m1 in zip(t0, t1)]
-    # after[i]: columns after column i
-    after = [full ^ ((2 << i) - 1) for i in range(ncols)]
+    # reach[u][k + 2]: columns v after u with d(v) + t(u, v) <= k, for -2 <= k <= 9
+    reach = []
+    for z, zt, later in zip(zero, zero_t, after):
+        m0, m1 = z & zt, z | zt
+        reach.append((0, 0, flat & m0 & later, (flat & m1 | m0) & later, (flat | m1) & later)
+                     + (later,) * 7)
     for ia in range(ncols):
-        ca, ma, za, zta, t0_a, t1_a, reach_a = (cols[ia], slices[ia], zero[ia], zero_t[ia],
-                                                t0[ia], t1[ia], reach[ia])
+        za, zta = zero[ia], zero_t[ia]
+        t0_a, t1_a = za & zta, za | zta
         count_a = 1 - (flat >> ia & 1)                                   # A1
-        bmask = reach_a[best - 1 - count_a] & after[ia]
+        bmask = _second_columns(flat, t0_a, t1_a, best - 4 - count_a, full) & after[ia]
+        if not bmask:
+            continue
+        ca, ma = cols[ia], None
         while bmask:
             bit = bmask & -bmask
             bmask ^= bit
             ib = bit.bit_length() - 1
-            # A2, C1, B1
+            # A2, C1, B1; the third columns c of the pair have d(c) + t(a,c) + t(b,c) <= k
             count_ab = count_a + 3 - (flat >> ib & 1) - (za >> ib & 1) - (zta >> ib & 1)
             reach_b = reach[ib]
-            cmask = _third_columns(t0_a, t1_a, reach_b, best - 1 - count_ab) & after[ib]
+            j = best + 1 - count_ab                                      # k + 2
+            cmask = t0_a & reach_b[j] | t1_a & reach_b[j - 1] | reach_b[j - 2]
             if not cmask:
                 continue
+            if ma is None:
+                # ma[e][f] = G(a, e, f)
+                ma = [[ca[0] * tensor[0][e][f] + ca[1] * tensor[1][e][f] + ca[2] * tensor[2][e][f]
+                       for f in range(3)] for e in range(3)]
             cb, zb, ztb = cols[ib], zero[ib], zero_t[ib]
             # G(a, b, .) and a x b, once per pair
             f0, f1, f2 = (ma[0][f] * cb[0] + ma[1][f] * cb[1] + ma[2][f] * cb[2]
@@ -499,8 +536,9 @@ def tau0_upper_bound(form, radius):
                 witness = Mat3(tuple(zip(ca, cb, cc)))
                 if best == floor:
                     return best, witness
-                bmask &= reach_a[best - 1 - count_a]
+                bmask &= _second_columns(flat, t0_a, t1_a, best - 4 - count_a, full)
                 if count_ab >= best:
                     break
-                cmask &= _third_columns(t0_a, t1_a, reach_b, best - 1 - count_ab)
+                j = best + 1 - count_ab
+                cmask &= t0_a & reach_b[j] | t1_a & reach_b[j - 1] | reach_b[j - 2]
     return best, witness

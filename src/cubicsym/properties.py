@@ -3,13 +3,15 @@
 Each suite draws seeded random instances, checks an algebraic identity
 exactly, and returns a SuiteResult.  The suites back both the test suite and
 the command-line selftest.  Failures carry a reproducible description of the
-offending instance.
+offending instance: its suite seed and, for a drawn form, describe() text
+with the form JSON that `cubicsym classify --form` reads.
 
 Random forms are drawn from a mix of sparse small-integer forms, catalog
 instances and random pullbacks of catalog instances, so kernels of every
 dimension (0, 1, 2 and infinite families) actually occur.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from .linalg import in_span, span_equal
 class SuiteResult:
     name: str
     trials: int
+    seed: int
     failures: tuple
 
     @property
@@ -34,7 +37,7 @@ class SuiteResult:
 
     def summary(self):
         state = "PASS" if self.ok else f"FAIL ({len(self.failures)})"
-        return f"{self.name}: {state} [{self.trials} trials]"
+        return f"{self.name}: {state} [{self.trials} trials, seed {self.seed}]"
 
 
 def random_form(rng, max_terms=5, bound=3):
@@ -71,6 +74,11 @@ def random_vec(rng, bound=3):
     return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(3))
 
 
+def _form(g):
+    """describe() text of a drawn form with its JSON, for a failure message."""
+    return f"{g.describe()} (form JSON {json.dumps(g.to_json(), sort_keys=True)})"
+
+
 def _run(name, trials, seed, body):
     rng = random.Random(seed)
     failures = []
@@ -80,7 +88,7 @@ def _run(name, trials, seed, body):
             failures.append(f"trial {i}: {problem}")
             if len(failures) >= 5:
                 break
-    return SuiteResult(name, trials, tuple(failures))
+    return SuiteResult(name, trials, seed, tuple(failures))
 
 
 def suite_evaluate_pullback(trials=200, seed=101):
@@ -90,11 +98,11 @@ def suite_evaluate_pullback(trials=200, seed=101):
         T = random_invertible(rng)
         v = random_vec(rng)
         if g.pullback(T).evaluate(v) != g.evaluate(T.apply(v)):
-            return f"pullback/evaluate mismatch for {g.describe()}"
+            return f"pullback/evaluate mismatch for {_form(g)}"
         lam = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         scaled = tuple(lam * c for c in v)
         if g.evaluate(scaled) != lam ** 3 * g.evaluate(v):
-            return f"homogeneity failure for {g.describe()}"
+            return f"homogeneity failure for {_form(g)}"
         return None
     return _run("evaluate/pullback compatibility", trials, seed, body)
 
@@ -108,7 +116,7 @@ def suite_radical_covariance(trials=200, seed=102):
         inv = T.inverse()
         mapped = [list(inv.apply(v)) for v in g.radical()]
         if not span_equal(direct, mapped):
-            return f"radical covariance failure for {g.describe()}"
+            return f"radical covariance failure for {_form(g)}"
         return None
     return _run("radical covariance", trials, seed, body)
 
@@ -122,10 +130,10 @@ def suite_kernel_covariance(trials=200, seed=103):
         rep2 = classify(g.pullback(T))
         if rep.label != rep2.label:
             return (f"class label changed under pullback: {rep.label} -> "
-                    f"{rep2.label} for {g.describe()}")
+                    f"{rep2.label} for {_form(g)}")
         moved = conjugated_generators(rep.algebra, T)
         if not same_span(moved, list(rep2.algebra.generators)):
-            return f"kernel span not covariant for {g.describe()}"
+            return f"kernel span not covariant for {_form(g)}"
         return None
     return _run("kernel and class covariance", trials, seed, body)
 
@@ -139,12 +147,12 @@ def suite_lie_closure(trials=200, seed=104):
         vectors = [m.flatten() for m in algebra.generators]
         for A in algebra.generators:
             if not verify_killing(g, A):
-                return f"kernel element fails the Killing check for {g.describe()}"
+                return f"kernel element fails the Killing check for {_form(g)}"
         for i in range(len(algebra.generators)):
             for j in range(i + 1, len(algebra.generators)):
                 br = bracket(algebra.generators[i], algebra.generators[j])
                 if not in_span(vectors, br.flatten()):
-                    return f"bracket escapes the kernel for {g.describe()}"
+                    return f"bracket escapes the kernel for {_form(g)}"
         return None
     return _run("Lie closure of kernels", trials, seed, body)
 
@@ -210,15 +218,15 @@ def suite_killing_linearity(trials=200, seed=108):
         lhs = killing_operator(g1 + g2, A)
         rhs = killing_operator(g1, A) + killing_operator(g2, A)
         if lhs != rhs:
-            return "K not linear in the form"
+            return f"K not linear in the form for {_form(g1)} and {_form(g2)}"
         system = build_system(g1)
         if system.apply(A) != killing_operator(g1, A):
-            return f"assembled system disagrees with K for {g1.describe()}"
+            return f"assembled system disagrees with K for {_form(g1)}"
         for v in g1.radical():
             w = random_vec(rng)
             rank_one = Mat3([[v[i] * w[j] for j in range(3)] for i in range(3)])
             if not verify_killing(g1, rank_one):
-                return f"radical rank-one field fails for {g1.describe()}"
+                return f"radical rank-one field fails for {_form(g1)}"
         return None
     return _run("Killing operator linearity and radical fields", trials, seed, body)
 

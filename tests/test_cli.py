@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
 import json
+import re
 
 import pytest
 
-from cubicsym import CubicForm, form_of
+from cubicsym import CubicForm, form_of, properties
 from cubicsym.cli import _emit, main
 
 
@@ -284,3 +285,23 @@ def test_selftest_smoke(capsys):
     code, out, _ = run(capsys, "selftest", "--trials", "5")
     assert code == 0
     assert "selftest: PASS" in out
+    assert "radical covariance: PASS [5 trials, seed 102]" in out
+
+
+def test_selftest_failure_prints_seed_and_form_json(capsys, monkeypatch, tmp_path):
+    # a radical check that always fails: the summary names the suite's seed,
+    # and each failure gives its form as JSON that classify --form reads back
+    monkeypatch.setattr(properties, "span_equal", lambda a, b: False)
+    code, out, _ = run(capsys, "selftest", "--trials", "3")
+    assert code == 1
+    assert "radical covariance: FAIL (3) [3 trials, seed 102]" in out
+    lines = [line for line in out.splitlines() if "radical covariance failure" in line]
+    assert len(lines) == 3
+    for line in lines:
+        text = re.search(r"form JSON (\{[^}]*\})", line).group(1)
+        form = CubicForm.from_json(json.loads(text))
+        assert f"failure for {form.describe()} (form JSON {text})" in line
+        path = tmp_path / "form.json"
+        path.write_text(text)
+        code, classified, _ = run(capsys, "classify", "--form", str(path))
+        assert code == 0 and "symmetry class:" in classified

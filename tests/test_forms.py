@@ -228,8 +228,10 @@ def test_tau0_monotone_and_witnessed():
 
 
 def test_tau0_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        tau0_upper_bound(form_of(F=1), 0)
+    # True would pass for radius 1 and 2.0 would reach range(); both are refused
+    for radius in (0, -1, True, False, 2.0, Fraction(2), "2", None):
+        with pytest.raises(ValueError, match="radius must be an int >= 1"):
+            tau0_upper_bound(form_of(A1=1, F=1), radius)
 
 
 def tau0_brute_force(form, radius):
@@ -366,6 +368,23 @@ def test_tau0_matches_table_oracle():
     for g in forms:
         for radius in (1, 2):
             assert tau0_upper_bound(g, radius) == tau0_table_oracle(g, radius), (g, radius)
+    # the benchmark's frame-search mix: one box form of each affine type 2..10,
+    # each in seeded signed-permutation frames; types 6 and 8-10 keep the bound
+    # at 5, where most second columns have no third column
+    box_rng = random.Random(0)
+    box = [form_of(**{n: box_rng.choice((-1, 1)) for n in box_rng.sample(COMPONENT_NAMES, t)})
+           for t in range(2, 11)]
+    for g in box:
+        for _ in range(5):
+            perm, signs = rng.sample(range(3), 3), [rng.choice((-1, 1)) for _ in range(3)]
+            T = Mat3([[signs[j] if perm[j] == i else 0 for j in range(3)] for i in range(3)])
+            h = g.pullback(T)
+            assert tau0_upper_bound(h, 2) == tau0_table_oracle(h, 2), h
+    # the tables of one radius are never used for another: this form has
+    # bound 3 at radius 1 and 2 at radius 2
+    g = form_of(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
+    for radius in (2, 1, 2):
+        assert tau0_upper_bound(g, radius) == tau0_table_oracle(g, radius), radius
 
 
 def test_json_round_trip():
