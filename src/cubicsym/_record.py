@@ -4,8 +4,7 @@
 immutable value class with what a frozen dataclass would give it:
 
 - __init__ taking the fields positionally or by keyword, in declaration
-  order, with the defaults written in the class body, then calling
-  __post_init__ if the class defines one;
+  order, with the defaults written in the class body;
 - __eq__ true only for an instance of the same class with equal fields;
 - __hash__ of the tuple of fields;
 - __repr__ of the form Name(field=value, ...);
@@ -33,7 +32,6 @@ def record(cls):
     body["__qualname__"] = cls.__qualname__
     fields = attrgetter(*names)
     values = fields if len(names) > 1 else (lambda self: (fields(self),))
-    post_init = getattr(cls, "__post_init__", None)
     set_field = object.__setattr__
     n = len(names)
 
@@ -53,8 +51,6 @@ def record(cls):
         if kwargs:
             raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
                             f"argument {next(iter(kwargs))!r}")
-        if post_init is not None:
-            self.__post_init__()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -8,9 +8,12 @@ data: the component recipe (possibly parametric, with sign parameters eps
 in {+1,-1} and rational parameters), the transcribed generator fields, the
 closed-form invariant series of the 1-dimensional cases, a recorded
 dimension claim and the symmetry class label every branch should land in.
-The expected dimensions of a branch follow from its class (CLASS_SHAPES in
-cubicsym.classify).  The invariant matrix the series is taken from is the
-first generator field unless the entry records one that differs from it.
+Nothing that follows from another record is stored: an entry's affine type
+tau is the prefix of its id, the expected dimensions of a branch follow from
+its class (SymmetryClass.shape), a projective class sampled once is recorded
+under its row of CORRESPONDENCE_TABLE, and the invariant matrix the series is
+taken from is the first generator field unless the entry records one that
+differs from it.
 
 verify_entry / verify_all recompute everything from scratch with the exact
 solver and report every disagreement between recorded and computed values.
@@ -24,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 
 from ._record import record
-from .classify import CLASS_SHAPES, classify
+from .classify import SymmetryClass, classify
 from .forms import Mat3, form_of, scalar_to_json
 # solve is not called here, but perfbench/run.py traces catalog.solve by name
 from .killing import solve, verify_killing  # noqa: F401
@@ -45,22 +48,11 @@ class ParamSpec:
 
 
 @record
-class Expected:
-    finite_dim: int
-    infinite: bool
-    label: str
-
-    @classmethod
-    def of(cls, label):
-        return cls(*CLASS_SHAPES[label], label)
-
-
-@record
 class Branch:
     label: str
     params: dict
     claim: str | None          # recorded dimension claim ("1", "2", "inf", ...)
-    expected: Expected         # what the exact computation must produce
+    expected: SymmetryClass    # what the exact computation must produce
     tau: int
     boundary: bool = False
 
@@ -68,7 +60,6 @@ class Branch:
 @record
 class CatalogEntry:
     id: str
-    tau: int
     params: tuple
     build: object              # params -> CubicForm
     generators: object         # params -> [Mat3] transcribed generator fields
@@ -80,14 +71,14 @@ class CatalogEntry:
     extra_branches: tuple = () # (label, overrides, claim, tau_override)
     notes: tuple = ()
 
-    def __post_init__(self):
-        if self.series is not None and self.inv_matrix is None:
-            generators = self.generators
-            object.__setattr__(self, "inv_matrix", lambda p: generators(p)[0])
+    @property
+    def tau(self):
+        """Recorded affine type: the prefix of the id "<tau>.<k>"."""
+        return int(self.id.split(".")[0])
 
     def expected_at(self, params):
-        label = self.expected(params) if callable(self.expected) else self.expected
-        return Expected.of(label)
+        return SymmetryClass(self.expected(params) if callable(self.expected)
+                             else self.expected)
 
     def defaults(self):
         return {p.name: p.default for p in self.params}
@@ -179,6 +170,9 @@ ENTRIES = []
 
 
 def _entry(**kw):
+    if kw.get("series") is not None and kw.get("inv_matrix") is None:
+        generators = kw["generators"]
+        kw["inv_matrix"] = lambda p: generators(p)[0]
     e = CatalogEntry(**kw)
     ENTRIES.append(e)
     return e
@@ -187,7 +181,7 @@ def _entry(**kw):
 # ---------------------------------------------------------------- tau = 1
 
 _entry(
-    id="1.1", tau=1, params=(),
+    id="1.1", params=(),
     build=lambda p: form_of(F=1),
     generators=lambda p: [Mat3.diag(1, -1, 0), Mat3.diag(1, 0, -1)],
     claimed_dim="2",
@@ -195,7 +189,7 @@ _entry(
 )
 
 _entry(
-    id="1.2", tau=1, params=(),
+    id="1.2", params=(),
     build=lambda p: form_of(B1=1),
     generators=lambda p: [Mat3.diag(-2, 1, 0)],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
@@ -204,7 +198,7 @@ _entry(
 )
 
 _entry(
-    id="1.3", tau=1, params=(),
+    id="1.3", params=(),
     build=lambda p: form_of(A1=1),
     generators=lambda p: [],
     claimed_dim="inf^2",
@@ -214,7 +208,7 @@ _entry(
 # ---------------------------------------------------------------- tau = 2
 
 _entry(
-    id="2.1", tau=2, params=(),
+    id="2.1", params=(),
     build=lambda p: form_of(A1=1, F=1),
     generators=lambda p: [Mat3.diag(0, 1, -1)],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
@@ -223,7 +217,7 @@ _entry(
 )
 
 _entry(
-    id="2.2", tau=2, params=(),
+    id="2.2", params=(),
     build=lambda p: form_of(B1=1, F=1),
     generators=lambda p: [mat([[1, 0, 0], [0, 0, 0], [0, -HALF, -1]]),
                           mat([[0, 0, 0], [0, 1, 0], [0, -1, -1]])],
@@ -232,7 +226,7 @@ _entry(
 )
 
 _entry(
-    id="2.3", tau=2, params=(),
+    id="2.3", params=(),
     build=lambda p: form_of(A1=1, B3=1),
     generators=lambda p: [Mat3.diag(0, 1, -HALF)],
     series=lambda p: _pow_series(Fraction(-1, 2)), series_tag="(1+(-2)^n)/(-2)^n",
@@ -241,7 +235,7 @@ _entry(
 )
 
 _entry(
-    id="2.4", tau=2, params=(),
+    id="2.4", params=(),
     build=lambda p: form_of(A1=1, C1=1),
     generators=lambda p: [mat([[1, 0, 0], [-1, -2, 0], [0, 0, 0]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
@@ -253,7 +247,7 @@ _entry(
 )
 
 _entry(
-    id="2.5", tau=2, params=(sign("eps"),),
+    id="2.5", params=(sign("eps"),),
     build=lambda p: form_of(B1=1, B2=p["eps"]),
     generators=lambda p: [Mat3.diag(1, -HALF, -HALF)],
     claimed_dim="1",
@@ -263,7 +257,7 @@ _entry(
 )
 
 _entry(
-    id="2.6", tau=2, params=(),
+    id="2.6", params=(),
     build=lambda p: form_of(B1=1, B3=1),
     generators=lambda p: [Mat3.diag(-2, 1, -HALF),
                           mat([[0, 0, 1], [0, 0, 0], [0, -HALF, 0]])],
@@ -274,7 +268,7 @@ _entry(
 )
 
 _entry(
-    id="2.7", tau=2, params=(),
+    id="2.7", params=(),
     build=lambda p: form_of(B1=1, C3=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-2, 0, -2]])],
     claimed_dim="inf+1",
@@ -282,7 +276,7 @@ _entry(
 )
 
 _entry(
-    id="2.8", tau=2, params=(),
+    id="2.8", params=(),
     build=lambda p: form_of(A1=1, A2=1),
     generators=lambda p: [],
     claimed_dim="inf",
@@ -290,7 +284,7 @@ _entry(
 )
 
 _entry(
-    id="2.9", tau=2, params=(sign("eps"),),
+    id="2.9", params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"]),
     generators=lambda p: [],
     claimed_dim="inf",
@@ -300,7 +294,7 @@ _entry(
 # ---------------------------------------------------------------- tau = 3
 
 _entry(
-    id="3.1", tau=3, params=(sign("eps"),),
+    id="3.1", params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"], F=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [0, -p["eps"], -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
@@ -309,7 +303,7 @@ _entry(
 )
 
 _entry(
-    id="3.2", tau=3, params=(),
+    id="3.2", params=(),
     build=lambda p: form_of(A1=1, C1=1, F=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-HALF, 0, -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
@@ -318,7 +312,7 @@ _entry(
 )
 
 _entry(
-    id="3.3", tau=3, params=(sign("eps"),),
+    id="3.3", params=(sign("eps"),),
     build=lambda p: form_of(B1=1, B2=p["eps"], F=1),
     generators=lambda p: [mat([[1, 0, 0], [0, 0, p["eps"] / 2], [0, -HALF, -1]]),
                           mat([[0, 0, 0], [0, 1, p["eps"]], [0, -1, -1]])],
@@ -331,7 +325,7 @@ _entry(
 )
 
 _entry(
-    id="3.4", tau=3, params=(),
+    id="3.4", params=(),
     build=lambda p: form_of(B1=1, B3=1, F=1),
     generators=lambda p: [mat([[1, 0, 1], [0, 0, 0], [0, -HALF, -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
@@ -340,7 +334,7 @@ _entry(
 )
 
 _entry(
-    id="3.5", tau=3, params=(),
+    id="3.5", params=(),
     build=lambda p: form_of(B1=1, C1=1, F=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [0, -1, -1]]),
                           mat([[1, 0, 0], [0, 0, 0], [-1, -HALF, -1]])],
@@ -351,7 +345,7 @@ _entry(
 )
 
 _entry(
-    id="3.6", tau=3, params=(),
+    id="3.6", params=(),
     build=lambda p: form_of(B1=1, C3=1, F=1),
     generators=lambda p: [mat([[-1, -HALF, 0], [0, 0, 0], [0, HALF, 1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
@@ -360,7 +354,7 @@ _entry(
 )
 
 _entry(
-    id="3.7", tau=3, params=(),
+    id="3.7", params=(),
     build=lambda p: form_of(A1=1, A2=1, C2=1),
     generators=lambda p: [mat([[1, 0, 0], [0, 0, 0], [-1, 0, -2]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
@@ -369,7 +363,7 @@ _entry(
 )
 
 _entry(
-    id="3.8", tau=3, params=(sign("eps1"), sign("eps2")),
+    id="3.8", params=(sign("eps1"), sign("eps2")),
     build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"]),
     generators=lambda p: [mat([[0, 0, 0], [0, 0, 1], [0, -p["eps1"] * p["eps2"], 0]])],
     series=lambda p: _even_series(-p["eps1"] * p["eps2"]),
@@ -379,7 +373,7 @@ _entry(
 )
 
 _entry(
-    id="3.9", tau=3, params=(sign("eps"),),
+    id="3.9", params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"], C2=1),
     generators=lambda p: [Mat3.diag(1, -HALF, -2),
                           mat([[0, 0, 0], [-p["eps"] / 2, 0, 0], [0, 1, 0]])],
@@ -391,7 +385,7 @@ _entry(
 )
 
 _entry(
-    id="3.10", tau=3, params=(sign("eps"),),
+    id="3.10", params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"], C3=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-2 * p["eps"], 0, -2]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
@@ -400,7 +394,7 @@ _entry(
 )
 
 _entry(
-    id="3.11", tau=3, params=(sign("eps"),),
+    id="3.11", params=(sign("eps"),),
     build=lambda p: form_of(B1=1, B2=p["eps"], C1=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 0, 1], [-p["eps"], -2 * p["eps"], 0]])],
     inv_matrix=lambda p: mat([[0, 0, 0], [0, 0, 1], [-p["eps"] / 2, -p["eps"], 0]]),
@@ -414,7 +408,7 @@ _entry(
 )
 
 _entry(
-    id="3.12", tau=3, params=(),
+    id="3.12", params=(),
     build=lambda p: form_of(B1=1, B3=1, C1=1),
     generators=lambda p: [mat([[0, 0, 1], [0, 0, 0], [-1, -HALF, 0]])],
     series=lambda p: _even_series(-1),
@@ -424,7 +418,7 @@ _entry(
 )
 
 _entry(
-    id="3.13", tau=3, params=(sign("eps"),),
+    id="3.13", params=(sign("eps"),),
     build=lambda p: form_of(B1=1, B3=p["eps"], C3=1),
     generators=lambda p: [mat([[-2, 0, Fraction(-3, 2)], [0, 1, 0], [0, 0, -HALF]]),
                           mat([[0, -1, -2 * p["eps"]], [0, 0, 0], [0, 1, 0]])],
@@ -435,7 +429,7 @@ _entry(
 # ---------------------------------------------------------------- tau = 4
 
 _entry(
-    id="4.1", tau=4, params=(sign("eps1"), sign("eps2"), rational("F", 2)),
+    id="4.1", params=(sign("eps1"), sign("eps2"), rational("F", 2)),
     build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"], F=p["F"]),
     generators=lambda p: [mat([[0, 0, 0],
                                [0, p["eps2"] * p["F"], 1],
@@ -454,7 +448,7 @@ _entry(
 )
 
 _entry(
-    id="4.2", tau=4, params=(sign("eps"), rational("F", 2)),
+    id="4.2", params=(sign("eps"), rational("F", 2)),
     build=lambda p: form_of(A1=1, B1=p["eps"], C2=1, F=p["F"]),
     generators=lambda p: [mat([[0, 0, 0],
                                [-1 / (2 * p["F"]), -1, 0],
@@ -465,7 +459,7 @@ _entry(
 )
 
 _entry(
-    id="4.3", tau=4, params=(sign("eps"), rational("F", 2)),
+    id="4.3", params=(sign("eps"), rational("F", 2)),
     build=lambda p: form_of(B1=p["eps"], B2=1, C2=1, F=p["F"]),
     generators=lambda p: [mat([[0, 0, 0],
                                [-p["eps"] / 2, -p["eps"] * p["F"], -p["eps"]],
@@ -482,7 +476,7 @@ _entry(
 )
 
 _entry(
-    id="4.4", tau=4, params=(rational("F", 2),),
+    id="4.4", params=(rational("F", 2),),
     build=lambda p: form_of(B2=1, B3=1, C2=1, F=p["F"]),
     generators=lambda p: [mat([[1, 0, 1 / (2 * p["F"])],
                                [-1 / p["F"], -1, -1 / (2 * p["F"])],
@@ -493,7 +487,7 @@ _entry(
 )
 
 _entry(
-    id="4.5", tau=4, params=(rational("B", 3),),
+    id="4.5", params=(rational("B", 3),),
     build=lambda p: form_of(A1=1, A2=1, B1=p["B"], C2=1),
     generators=lambda p: [mat([[1, 0, 0], [-p["B"], 0, 0], [-1, 2 * p["B"] ** 2, -2]])],
     inv_matrix=lambda p: mat([[1, 0, 0], [-p["B"], 0, 0], [0, 2 * p["B"] ** 2, -2]]),
@@ -506,7 +500,7 @@ _entry(
 )
 
 _entry(
-    id="4.6", tau=4, params=(rational("B", 3),),
+    id="4.6", params=(rational("B", 3),),
     build=lambda p: form_of(A1=1, A2=1, B1=p["B"], C3=1),
     generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-2 * p["B"], -1, -2]])],
     inv_matrix=lambda p: mat([[0, 0, 0], [0, 1, 0], [2 * p["B"], 1, -2]]),
@@ -519,7 +513,7 @@ _entry(
 )
 
 _entry(
-    id="4.7", tau=4, params=(sign("eps1"), sign("eps2"), rational("C", 3)),
+    id="4.7", params=(sign("eps1"), sign("eps2"), rational("C", 3)),
     build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"], C1=p["C"]),
     generators=lambda p: [mat([[0, 0, 0],
                                [0, 0, 1],
@@ -531,7 +525,7 @@ _entry(
 )
 
 _entry(
-    id="4.8", tau=4, params=(sign("eps"), rational("C", 3)),
+    id="4.8", params=(sign("eps"), rational("C", 3)),
     build=lambda p: form_of(A1=1, B2=p["eps"], B3=1, C2=p["C"]),
     generators=lambda p: [mat([[0, 0, -p["C"]],
                                [2 * (p["C"] ** 2 - p["eps"]), -2, p["eps"] * p["C"]],
@@ -542,7 +536,7 @@ _entry(
 )
 
 _entry(
-    id="4.9", tau=4, params=(rational("B", 3),),
+    id="4.9", params=(rational("B", 3),),
     build=lambda p: form_of(A1=1, B1=p["B"], C1=1, C2=1),
     generators=lambda p: [mat([[1, 0, 0], [0, -HALF, 0], [-1, Fraction(-3, 2), -2]]),
                           mat([[0, 0, 0], [1, 0, 0], [-1, -2 * p["B"], 0]])],
@@ -551,7 +545,7 @@ _entry(
 )
 
 _entry(
-    id="4.10", tau=4, params=(rational("B", 3, allow_zero=True),),
+    id="4.10", params=(rational("B", 3, allow_zero=True),),
     build=lambda p: form_of(B1=p["B"], B2=1, C1=1, C2=1),
     generators=lambda p: [mat([[0, 0, 0], [HALF, 0, 1], [-HALF, -p["B"], 0]])],
     series=lambda p: _even_series(-p["B"]),
@@ -568,7 +562,7 @@ _entry(
 # ---------------------------------------------------------------- tau = 5
 
 _entry(
-    id="5.1", tau=5, params=(rational("C2", 1), rational("C3", 2)),
+    id="5.1", params=(rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"]),
     generators=lambda p: [mat([[0, 2 * p["C3"], 1], [-2 * p["C2"], 0, -1], [0, 0, 0]])],
     series=lambda p: _even_series(-4 * p["C2"] * p["C3"]),
@@ -579,7 +573,7 @@ _entry(
 )
 
 _entry(
-    id="5.2", tau=5, params=(rational("B3", 3), rational("C3", 2)),
+    id="5.2", params=(rational("B3", 3), rational("C3", 2)),
     build=lambda p: form_of(A2=1, A3=1, B2=1, B3=p["B3"], C3=p["C3"]),
     generators=lambda p: [mat([[-2, 2 * (p["C3"] ** 2 - p["B3"]), p["B3"] * p["C3"] - 1],
                                [0, 0, -p["C3"]],
@@ -590,7 +584,7 @@ _entry(
 )
 
 _entry(
-    id="5.3", tau=5, params=(rational("C2", 1), rational("C3", 2)),
+    id="5.3", params=(rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
     generators=lambda p: [mat([[2, 2 * p["C3"], 1], [-2 * p["C2"], -2, -1], [0, 0, 0]])],
     series=lambda p: _even_series(4 * (1 - p["C2"] * p["C3"])),
@@ -608,7 +602,7 @@ _entry(
 )
 
 _entry(
-    id="5.4", tau=5, params=(rational("C2", 1), rational("C3", 2)),
+    id="5.4", params=(rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
     generators=lambda p: [mat([[-1 / p["C2"], -p["C3"] / p["C2"], -1 / (2 * p["C2"])],
                                [1, 1 / p["C2"], 0],
@@ -625,7 +619,7 @@ _entry(
 )
 
 _entry(
-    id="5.5", tau=5, params=(rational("B3", 3), rational("C3", 2)),
+    id="5.5", params=(rational("B3", 3), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B2=1, B3=p["B3"], C3=p["C3"], F=1),
     generators=lambda p: [mat([[-2, -2 * p["C3"], -p["B3"]], [0, 2, 1], [0, 0, 0]])],
     series=lambda p: _even_series(4),
@@ -637,7 +631,7 @@ _entry(
 # ---------------------------------------------------------------- tau = 6
 
 _entry(
-    id="6.1", tau=6, params=(rational("F", 2), rational("C2", 1), rational("C3", 2)),
+    id="6.1", params=(rational("F", 2), rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=p["F"]),
     generators=lambda p: [mat([[2 * p["F"], 2 * p["C3"], 1],
                                [-2 * p["C2"], -2 * p["F"], -1],
@@ -690,6 +684,34 @@ def _psample(label, params, recorded, expected=None):
                             expected if expected is not None else recorded)
 
 
+# recorded correspondence rows: symmetry class -> projective classes
+CORRESPONDENCE_TABLE = {
+    "1": ("III", "XII"),
+    "2": ("V",),
+    "3(1)": ("VIII",),
+    "3(2)": ("VI", "XIII"),
+    "3(3)": ("VII",),
+    "4": ("IV",),
+    "5": ("II", "X", "XI"),
+    "6": (),
+    "7": (),
+    "8": ("general", "I", "IX"),
+}
+
+_TABLE_ROW = {pid: label for label, pids in CORRESPONDENCE_TABLE.items() for pid in pids}
+
+
+def _projective(pid, description, build, expected=None, notes=()):
+    """A projective class with one sample, recorded under its table row."""
+    return ProjectiveEntry(pid, description, build,
+                           (_psample("default", {}, _TABLE_ROW[pid], expected),), notes)
+
+
+_FILED_UNDER_TWIN = ("the computed 1-dimensional algebra is a rotation "
+                     "(I2 < 0), class 6; the correspondence table files "
+                     "this class under 5, its complex-equivalent twin",)
+
+
 GENERAL_SAMPLES = (
     _psample("F=-2 (F below the lower irrational threshold)", {"F": Fraction(-2)}, "8"),
     _psample("F=-1 (between the lower threshold and -1/2)", {"F": Fraction(-1)}, "8"),
@@ -710,55 +732,24 @@ PROJECTIVE_ENTRIES = (
                "cannot be sampled in exact rational arithmetic; all rational "
                "samples with F != -1/2 share the same symmetry data",),
     ),
-    ProjectiveEntry("I", "A1=A2=F=1", lambda p: form_of(A1=1, A2=1, F=1),
-                    (_psample("default", {}, "8"),)),
-    ProjectiveEntry("II", "A1=F=1", lambda p: form_of(A1=1, F=1),
-                    (_psample("default", {}, "5"),)),
-    ProjectiveEntry("III", "F=1", lambda p: form_of(F=1),
-                    (_psample("default", {}, "1"),)),
-    ProjectiveEntry("IV", "A1=C3=1", lambda p: form_of(A1=1, C3=1),
-                    (_psample("default", {}, "4"),)),
-    ProjectiveEntry("V", "C1=C3=1", lambda p: form_of(C1=1, C3=1),
-                    (_psample("default", {}, "2"),)),
-    ProjectiveEntry("VI", "A1=A2=1", lambda p: form_of(A1=1, A2=1),
-                    (_psample("default", {}, "3(2)"),)),
-    ProjectiveEntry("VII", "C1=1", lambda p: form_of(C1=1),
-                    (_psample("default", {}, "3(3)"),)),
-    ProjectiveEntry("VIII", "A1=1", lambda p: form_of(A1=1),
-                    (_psample("default", {}, "3(1)"),)),
-    ProjectiveEntry("IX", "A3=C1=B3=1", lambda p: form_of(A3=1, C1=1, B3=1),
-                    (_psample("default", {}, "8"),)),
-    ProjectiveEntry("X", "A2=-1, C1=B3=1", lambda p: form_of(A2=-1, C1=1, B3=1),
-                    (_psample("default", {}, "5", expected="6"),),
-                    notes=("the computed 1-dimensional algebra is a rotation "
-                           "(I2 < 0), class 6; the correspondence table files "
-                           "this class under 5, its complex-equivalent twin",)),
-    ProjectiveEntry("XI", "A2=C1=B3=1", lambda p: form_of(A2=1, C1=1, B3=1),
-                    (_psample("default", {}, "5", expected="6"),),
-                    notes=("the computed 1-dimensional algebra is a rotation "
-                           "(I2 < 0), class 6; the correspondence table files "
-                           "this class under 5, its complex-equivalent twin",)),
-    ProjectiveEntry("XII", "C1=B3=1", lambda p: form_of(C1=1, B3=1),
-                    (_psample("default", {}, "1"),)),
-    ProjectiveEntry("XIII", "A2=-1, C1=1", lambda p: form_of(A2=-1, C1=1),
-                    (_psample("default", {}, "3(2)"),)),
+    _projective("I", "A1=A2=F=1", lambda p: form_of(A1=1, A2=1, F=1)),
+    _projective("II", "A1=F=1", lambda p: form_of(A1=1, F=1)),
+    _projective("III", "F=1", lambda p: form_of(F=1)),
+    _projective("IV", "A1=C3=1", lambda p: form_of(A1=1, C3=1)),
+    _projective("V", "C1=C3=1", lambda p: form_of(C1=1, C3=1)),
+    _projective("VI", "A1=A2=1", lambda p: form_of(A1=1, A2=1)),
+    _projective("VII", "C1=1", lambda p: form_of(C1=1)),
+    _projective("VIII", "A1=1", lambda p: form_of(A1=1)),
+    _projective("IX", "A3=C1=B3=1", lambda p: form_of(A3=1, C1=1, B3=1)),
+    _projective("X", "A2=-1, C1=B3=1", lambda p: form_of(A2=-1, C1=1, B3=1),
+                expected="6", notes=_FILED_UNDER_TWIN),
+    _projective("XI", "A2=C1=B3=1", lambda p: form_of(A2=1, C1=1, B3=1),
+                expected="6", notes=_FILED_UNDER_TWIN),
+    _projective("XII", "C1=B3=1", lambda p: form_of(C1=1, B3=1)),
+    _projective("XIII", "A2=-1, C1=1", lambda p: form_of(A2=-1, C1=1)),
 )
 
 PROJECTIVE_BY_ID = {e.id: e for e in PROJECTIVE_ENTRIES}
-
-# recorded correspondence rows: symmetry class -> projective classes
-CORRESPONDENCE_TABLE = {
-    "1": ("III", "XII"),
-    "2": ("V",),
-    "3(1)": ("VIII",),
-    "3(2)": ("VI", "XIII"),
-    "3(3)": ("VII",),
-    "4": ("IV",),
-    "5": ("II", "X", "XI"),
-    "6": (),
-    "7": (),
-    "8": ("general", "I", "IX"),
-}
 
 # recorded-vs-computed conflicts that are understood and accepted:
 # the audit treats exactly these as known; anything else is a regression.
@@ -804,7 +795,7 @@ def general_subclass(F):
 
     The two irrational boundaries are the roots of (2F+1)^2 = 3; exact sign
     predicates on that quantity decide interval membership, so no irrational
-    arithmetic is needed.
+    arithmetic is needed.  No rational F is a root, so the sign is never 0.
     """
     F = Fraction(F)
     d = (2 * F + 1) ** 2 - 3
@@ -813,8 +804,6 @@ def general_subclass(F):
     if F < Fraction(-1, 2):
         if d > 0:
             return "F < -(sqrt(3)+1)/2"
-        if d == 0:
-            return "F = -(sqrt(3)+1)/2"
         return "-(sqrt(3)+1)/2 < F < -1/2"
     if F < 0:
         return "-1/2 < F < 0"
@@ -823,8 +812,6 @@ def general_subclass(F):
     if F < 1:
         if d < 0:
             return "0 < F < (sqrt(3)-1)/2"
-        if d == 0:
-            return "F = (sqrt(3)-1)/2"
         return "(sqrt(3)-1)/2 < F < 1"
     if F == 1:
         return "F = 1"
@@ -872,7 +859,7 @@ class BranchReport(_Findings):
     computed_infinite: bool
     computed_class: str
     claim: str | None
-    expected: Expected
+    expected: SymmetryClass
     tau_ok: bool
     oracle_ok: bool            # computed == expected (hard)
     claim_ok: bool | None      # computed matches the recorded claim
@@ -934,15 +921,14 @@ def verify_branch(entry, branch):
         issue("tau", f"affine type {form.affine_type()} != {branch.tau}")
 
     expected = branch.expected
-    oracle_ok = (algebra.finite_nontrivial_dim == expected.finite_dim
-                 and algebra.has_infinite_family == expected.infinite
-                 and report.label == expected.label)
+    computed_shape = (algebra.finite_nontrivial_dim, algebra.has_infinite_family)
+    oracle_ok = report.symmetry_class == expected and computed_shape == expected.shape
     if not oracle_ok:
+        finite, infinite = expected.shape
         issue("oracle",
-              f"computed (dim={algebra.finite_nontrivial_dim}, "
-              f"inf={algebra.has_infinite_family}, class={report.label}) != "
-              f"expected (dim={expected.finite_dim}, inf={expected.infinite}, "
-              f"class={expected.label})")
+              f"computed (dim={computed_shape[0]}, inf={computed_shape[1]}, "
+              f"class={report.label}) != "
+              f"expected (dim={finite}, inf={infinite}, class={expected.label})")
 
     claim_ok = _claim_matches(branch.claim, algebra)
     if claim_ok is False:
@@ -1144,6 +1130,7 @@ def export_catalog():
         branches = []
         for b in entry.branches():
             form = entry.build(b.params)
+            finite, infinite = b.expected.shape
             branches.append({
                 "label": b.label,
                 "params": {k: scalar_to_json(v) for k, v in b.params.items()},
@@ -1151,8 +1138,8 @@ def export_catalog():
                 "affine_type": b.tau,
                 "claim": b.claim,
                 "expected": {
-                    "finite_nontrivial_dim": b.expected.finite_dim,
-                    "has_infinite_family": b.expected.infinite,
+                    "finite_nontrivial_dim": finite,
+                    "has_infinite_family": infinite,
                     "class": b.expected.label,
                 },
                 "boundary": b.boundary,

@@ -14,10 +14,11 @@ Eight classes, determined entirely by the computed symmetry algebra:
     8     no nontrivial symmetries
 
 Classes 5 and 6 are real forms of the same complex class: the proportionality
-constant linking their invariant series is imaginary, so each report carries
-a complex_equivalent_to flag pointing at the other (COMPLEX_TWINS).
-Every class except the catch-all 7 fixes the finite dimension and the
-infinite family of its algebra (CLASS_SHAPES).
+constant linking their invariant series is imaginary, so each class reads
+its complex_equivalent_to twin from COMPLEX_TWINS.  Every class except the
+catch-all 7 fixes the finite dimension and the infinite family of its
+algebra, its shape (CLASS_SHAPES).  A SymmetryClass stores only its label
+and derives both.
 """
 
 from ._record import record
@@ -40,7 +41,15 @@ COMPLEX_TWINS = {"5": "6", "6": "5"}
 @record
 class SymmetryClass:
     label: str
-    complex_equivalent_to: str | None = None
+
+    @property
+    def complex_equivalent_to(self):
+        return COMPLEX_TWINS.get(self.label)
+
+    @property
+    def shape(self):
+        """(finite_nontrivial_dim, has_infinite_family), None for the catch-all 7."""
+        return CLASS_SHAPES.get(self.label)
 
 
 @record
@@ -117,9 +126,8 @@ def _classify(form):
             label = "7"
             notes.append("1-dimensional algebra with nilpotent generator; "
                          "outside the catalogued patterns")
-        return ClassificationReport(SymmetryClass(label, COMPLEX_TWINS.get(label)),
-                                    algebra, invariant_series=series,
-                                    notes=tuple(notes))
+        return ClassificationReport(SymmetryClass(label), algebra,
+                                    invariant_series=series, notes=tuple(notes))
 
     if dim == 2:
         structure = structure_constants(list(algebra.generators))
@@ -177,16 +185,11 @@ def compare(form1, form2):
                     f"vs {a2.finite_nontrivial_dim}")
     if rep1.invariant_series is not None and rep2.invariant_series is not None:
         verdict = colinearity(rep1.invariant_series, rep2.invariant_series)
-        if verdict.kind == "none":
+        # "complex" needs I2, I2' of opposite sign and no odd power: one label rules it out
+        if verdict.kind != "real":
             return ComparisonVerdict(
                 NOT_EQUIVALENT,
                 witness=f"invariant series are not proportional ({verdict.reason})")
-        if verdict.kind == "complex":
-            return ComparisonVerdict(
-                NOT_EQUIVALENT,
-                witness="invariant series proportional only over the complex "
-                        f"numbers (C^2 = {verdict.C_squared})",
-                notes=("complex-equivalence: the metrics share a complexification",))
         notes.append("invariant series proportional with real constant")
     return ComparisonVerdict(POSSIBLY_EQUIVALENT, notes=tuple(notes))
 

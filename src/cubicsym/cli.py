@@ -91,8 +91,8 @@ def _emit(payload, as_json, plain=None):
         plain(payload)
 
 
-def _matrix_lines(rows, indent="    "):
-    return "\n".join(indent + "[" + ", ".join(row) + "]" for row in rows)
+def _matrix_lines(rows):
+    return "\n".join("    [" + ", ".join(row) + "]" for row in rows)
 
 
 def cmd_solve(args):
@@ -222,6 +222,12 @@ def cmd_catalog_list(args):
 
 def cmd_catalog_verify(args):
     if args.id:
+        if args.all:
+            raise InputError("--all and --id exclude each other: --id audits one entry")
+        try:
+            catalog.get_entry(args.id)
+        except KeyError as exc:
+            raise InputError(exc.args[0]) from None
         reports = catalog.verify_entry(args.id)
         audit = catalog.AuditReport(tuple(reports), ())
     else:
@@ -357,9 +363,6 @@ def main(argv=None):
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
 
 

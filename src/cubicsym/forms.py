@@ -21,10 +21,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 from operator import attrgetter
 
-from .linalg import nullspace
+from .linalg import nullspace, scale_to_integers
 
 
 COMPONENT_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "F")
@@ -169,9 +168,6 @@ class Mat3:
         """Matrix-vector product T v."""
         return tuple(sum(self.rows[i][k] * v[k] for k in range(3)) for i in range(3))
 
-    def transpose(self):
-        return Mat3(tuple(tuple(self.rows[j][i] for j in range(3)) for i in range(3)))
-
     def trace(self):
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
@@ -281,8 +277,8 @@ class CubicForm:
         the contraction runs over ints one index at a time, and each of the
         ten components makes one Fraction at the end.
         """
-        s = lcm(*[v.denominator for row in T.rows for v in row])
-        S = [[v.numerator * (s // v.denominator) for v in row] for row in T.rows]
+        flat, s = scale_to_integers(T.flatten())
+        S = [flat[0:3], flat[3:6], flat[6:9]]
         if _det(S) == 0:
             raise SingularTransformError("pullback requires an invertible transform")
         M, m = _int_tensor(self)
@@ -376,9 +372,7 @@ def _canonical_columns(radius):
 def _int_tensor(form):
     """(M, m): m is the lcm of the component denominators and M the integer
     tensor with M[d][e][f] = m * G(d+1, e+1, f+1)."""
-    comps = form.components()
-    m = lcm(*[c.denominator for c in comps])
-    flat = [c.numerator * (m // c.denominator) for c in comps]
+    flat, m = scale_to_integers(form.components())
     return [[[flat[k] for k in row] for row in plane] for plane in _FULL_INDEX], m
 
 

@@ -80,12 +80,18 @@ class SymmetryAlgebra:
 
     generators: tuple
     radical_basis: tuple
-    has_infinite_family: bool
-    finite_nontrivial_dim: int
 
     @property
     def kernel_dim(self):
         return len(self.generators)
+
+    @property
+    def has_infinite_family(self):
+        return bool(self.radical_basis)
+
+    @property
+    def finite_nontrivial_dim(self):
+        return len(self.generators) - 3 * len(self.radical_basis)
 
     def to_json(self):
         return {
@@ -107,10 +113,4 @@ def solve(form):
     system = build_system(form)
     kernel = system.kernel()
     generators = tuple(Mat3.from_flat(vec) for vec in kernel)
-    radical = tuple(form.radical())
-    return SymmetryAlgebra(
-        generators=generators,
-        radical_basis=radical,
-        has_infinite_family=bool(radical),
-        finite_nontrivial_dim=len(generators) - 3 * len(radical),
-    )
+    return SymmetryAlgebra(generators=generators, radical_basis=tuple(form.radical()))

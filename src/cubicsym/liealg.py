@@ -7,11 +7,11 @@ this convention gives bracket(X1, X2) = (3/2) X2.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from ._record import record
 from .forms import Mat3, format_scalar
-from .linalg import coordinates_in_span, echelon_basis, rref
+from .linalg import coordinates_in_span, echelon_basis, rref, scale_to_integers
 
 
 class DependentBasisError(ValueError):
@@ -31,8 +31,11 @@ def bracket(A, B):
 class StructureConstants:
     """Coefficients c[k][i][j] with [X_i, X_j] = sum_k c[k][i][j] X_k."""
 
-    n: int
     c: tuple
+
+    @property
+    def n(self):
+        return len(self.c)
 
     def is_zero(self):
         return all(v == 0 for layer in self.c for row in layer for v in row)
@@ -65,7 +68,7 @@ def structure_constants(basis):
         for k in range(n):
             c[k][i][j] = red[k][col]
             c[k][j][i] = -red[k][col]
-    return StructureConstants(n=n, c=tuple(tuple(tuple(row) for row in layer) for layer in c))
+    return StructureConstants(c=tuple(tuple(tuple(row) for row in layer) for layer in c))
 
 
 def is_abelian(basis):
@@ -84,16 +87,20 @@ def derived_algebra(basis):
 
 @record
 class InvariantSeries:
-    """Traces of powers I_n = Tr(A^n) for n = 1..6, det and char poly.
+    """Traces of powers I_n = Tr(A^n) for n = 1..6 and the determinant.
 
-    The characteristic polynomial coefficients are (1, -I1, (I1^2 - I2)/2,
-    -Delta); I4..I6 then satisfy the trace recursion they induce, which the
-    test suite checks explicitly.
+    The characteristic polynomial coefficients are derived from them:
+    (1, -I1, (I1^2 - I2)/2, -Delta); I4..I6 then satisfy the trace recursion
+    they induce, which the test suite checks explicitly.
     """
 
     I: tuple
     delta: Fraction
-    charpoly: tuple
+
+    @property
+    def charpoly(self):
+        i1, i2 = self.I[0], self.I[1]
+        return (Fraction(1), -i1, (i1 * i1 - i2) / 2, -self.delta)
 
     def to_json(self):
         return {
@@ -109,8 +116,8 @@ def invariants(A):
     With A = M/d for an integer matrix M, I_k = Tr(M^k)/d^k: the powers are
     integer products and each trace makes one Fraction.
     """
-    d = lcm(*[v.denominator for row in A.rows for v in row])
-    M = [[v.numerator * (d // v.denominator) for v in row] for row in A.rows]
+    flat, d = scale_to_integers(A.flatten())
+    M = [flat[0:3], flat[3:6], flat[6:9]]
     cols = list(zip(*M))
     traces = []
     power = M
@@ -119,10 +126,7 @@ def invariants(A):
         if k < 6:
             power = [[sum(x * y for x, y in zip(row, col)) for col in cols]
                      for row in power]
-    i1, i2 = traces[0], traces[1]
-    delta = A.det()
-    charpoly = (Fraction(1), -i1, (i1 * i1 - i2) / 2, -delta)
-    return InvariantSeries(I=tuple(traces), delta=delta, charpoly=charpoly)
+    return InvariantSeries(I=tuple(traces), delta=A.det())
 
 
 def _nth_root(x, n):

@@ -17,10 +17,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _integer_row(row):
-    """The row scaled by the lcm of its denominators, as a list of ints."""
-    d = lcm(*[v.denominator for v in row])
-    return [v.numerator * (d // v.denominator) for v in row]
+def scale_to_integers(values):
+    """(ints, d): d is the lcm of the denominators of the rationals and ints
+    the list of the values times d, as Python ints."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def rref(matrix):
@@ -33,7 +34,7 @@ def rref(matrix):
     themselves (each new row divided by the gcd of its entries) and only the
     final division by the pivot makes a Fraction.
     """
-    rows = [_integer_row(row) for row in matrix]
+    rows = [scale_to_integers(row)[0] for row in matrix]
     if not rows:
         return [], []
     ncols = len(rows[0])

@@ -4,7 +4,9 @@ Each suite draws seeded random instances, checks an algebraic identity
 exactly, and returns a SuiteResult.  The suites back both the test suite and
 the command-line selftest.  Failures carry a reproducible description of the
 offending instance: its suite seed and, for a drawn form, describe() text
-with the form JSON that `cubicsym classify --form` reads.
+with the form JSON that `cubicsym classify --form` reads, or for a drawn
+matrix its JSON, which `cubicsym transform --matrix` reads.  Each suite
+draws from its own fixed seed, 101 to 108.
 
 Random forms are drawn from a mix of sparse small-integer forms, catalog
 instances and random pullbacks of catalog instances, so kernels of every
@@ -40,8 +42,9 @@ class SuiteResult:
         return f"{self.name}: {state} [{self.trials} trials, seed {self.seed}]"
 
 
-def random_form(rng, max_terms=5, bound=3):
-    """Sparse random integer form; occasionally a catalog instance."""
+def random_form(rng):
+    """Sparse random integer form, 1 to 5 nonzero components in [-3, 3];
+    occasionally a catalog instance."""
     # a catalog instance with probability 7/20, compared exactly
     if rng.random() < Fraction(7, 20):
         entry = catalog.ENTRIES[rng.randrange(len(catalog.ENTRIES))]
@@ -49,34 +52,40 @@ def random_form(rng, max_terms=5, bound=3):
         return entry.build(branch.params)
     names = list(COMPONENT_NAMES)
     rng.shuffle(names)
-    k = rng.randint(1, max_terms)
+    k = rng.randint(1, 5)
     comps = {}
     for name in names[:k]:
         v = 0
         while v == 0:
-            v = rng.randint(-bound, bound)
+            v = rng.randint(-3, 3)
         comps[name] = v
     return form_of(**comps)
 
 
-def random_invertible(rng, bound=2):
+def random_invertible(rng):
+    """Invertible matrix with entries in [-2, 2]."""
     while True:
-        T = Mat3([[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)])
+        T = Mat3([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
         if T.det() != 0:
             return T
 
 
-def random_matrix(rng, bound=3):
-    return Mat3([[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)])
+def random_matrix(rng):
+    return Mat3([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
 
 
-def random_vec(rng, bound=3):
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(3))
+def random_vec(rng):
+    return tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
 
 
 def _form(g):
     """describe() text of a drawn form with its JSON, for a failure message."""
     return f"{g.describe()} (form JSON {json.dumps(g.to_json(), sort_keys=True)})"
+
+
+def _matrices(**named):
+    """Named matrices as the JSON that `cubicsym transform --matrix` reads."""
+    return ", ".join(f"{name} = {json.dumps(M.to_json())}" for name, M in named.items())
 
 
 def _run(name, trials, seed, body):
@@ -91,7 +100,7 @@ def _run(name, trials, seed, body):
     return SuiteResult(name, trials, seed, tuple(failures))
 
 
-def suite_evaluate_pullback(trials=200, seed=101):
+def suite_evaluate_pullback(trials=200):
     """evaluate(pullback(G,T), v) == evaluate(G, T v), plus homogeneity."""
     def body(rng):
         g = random_form(rng)
@@ -104,10 +113,10 @@ def suite_evaluate_pullback(trials=200, seed=101):
         if g.evaluate(scaled) != lam ** 3 * g.evaluate(v):
             return f"homogeneity failure for {_form(g)}"
         return None
-    return _run("evaluate/pullback compatibility", trials, seed, body)
+    return _run("evaluate/pullback compatibility", trials, 101, body)
 
 
-def suite_radical_covariance(trials=200, seed=102):
+def suite_radical_covariance(trials=200):
     """radical(pullback(G,T)) equals T^-1 radical(G) as a subspace."""
     def body(rng):
         g = random_form(rng)
@@ -118,10 +127,10 @@ def suite_radical_covariance(trials=200, seed=102):
         if not span_equal(direct, mapped):
             return f"radical covariance failure for {_form(g)}"
         return None
-    return _run("radical covariance", trials, seed, body)
+    return _run("radical covariance", trials, 102, body)
 
 
-def suite_kernel_covariance(trials=200, seed=103):
+def suite_kernel_covariance(trials=200):
     """Conjugated kernel spans the pulled-back kernel; class label invariant."""
     def body(rng):
         g = random_form(rng)
@@ -135,10 +144,10 @@ def suite_kernel_covariance(trials=200, seed=103):
         if not same_span(moved, list(rep2.algebra.generators)):
             return f"kernel span not covariant for {_form(g)}"
         return None
-    return _run("kernel and class covariance", trials, seed, body)
+    return _run("kernel and class covariance", trials, 103, body)
 
 
-def suite_lie_closure(trials=200, seed=104):
+def suite_lie_closure(trials=200):
     """Brackets of kernel elements stay in the kernel span; every generator
     actually satisfies the Killing equation."""
     def body(rng):
@@ -154,10 +163,10 @@ def suite_lie_closure(trials=200, seed=104):
                 if not in_span(vectors, br.flatten()):
                     return f"bracket escapes the kernel for {_form(g)}"
         return None
-    return _run("Lie closure of kernels", trials, seed, body)
+    return _run("Lie closure of kernels", trials, 104, body)
 
 
-def suite_cayley_hamilton(trials=200, seed=105):
+def suite_cayley_hamilton(trials=200):
     """A^3 - I1 A^2 + ((I1^2-I2)/2) A - det(A) Id = 0, exactly."""
     def body(rng):
         A = random_matrix(rng)
@@ -166,50 +175,50 @@ def suite_cayley_hamilton(trials=200, seed=105):
         lhs = (A @ A @ A) - (A @ A).scale(s.I[0]) + A.scale(c2) \
             - Mat3.identity().scale(s.delta)
         if not lhs.is_zero():
-            return f"Cayley-Hamilton fails for {A.rows}"
+            return f"Cayley-Hamilton fails for {_matrices(A=A)}"
         # Newton recursion pins I4..I6 from I1..I3
         for n in (3, 4, 5):
             expect = s.I[0] * s.I[n - 1] - c2 * s.I[n - 2] + s.delta * s.I[n - 3]
             if s.I[n] != expect:
-                return f"trace recursion fails for {A.rows}"
+                return f"trace recursion fails for {_matrices(A=A)}"
         if s.delta != (s.I[0] ** 3 - 3 * s.I[0] * s.I[1] + 2 * s.I[2]) / 6:
-            return f"determinant identity fails for {A.rows}"
+            return f"determinant identity fails for {_matrices(A=A)}"
         return None
-    return _run("Cayley-Hamilton and trace recursion", trials, seed, body)
+    return _run("Cayley-Hamilton and trace recursion", trials, 105, body)
 
 
-def suite_conjugation_invariance(trials=200, seed=106):
+def suite_conjugation_invariance(trials=200):
     """Invariant series is unchanged under conjugation by invertible T."""
     def body(rng):
         A = random_matrix(rng)
         T = random_invertible(rng)
         conj = T.inverse() @ A @ T
         if invariants(A) != invariants(conj):
-            return f"conjugation changed invariants of {A.rows}"
+            return f"conjugation changed invariants of {_matrices(A=A, T=T)}"
         return None
-    return _run("conjugation invariance of invariants", trials, seed, body)
+    return _run("conjugation invariance of invariants", trials, 106, body)
 
 
-def suite_bracket_identities(trials=200, seed=107):
+def suite_bracket_identities(trials=200):
     """Bilinearity, antisymmetry and the Jacobi identity of the bracket."""
     def body(rng):
         A, B, C = (random_matrix(rng) for _ in range(3))
         if not (bracket(A, A).is_zero()):
-            return f"bracket(A,A) != 0 for {A.rows}"
+            return f"bracket(A,A) != 0 for {_matrices(A=A)}"
         if bracket(A, B) + bracket(B, A) != Mat3.zero():
-            return "antisymmetry fails"
+            return f"antisymmetry fails for {_matrices(A=A, B=B)}"
         jac = bracket(A, bracket(B, C)) + bracket(B, bracket(C, A)) \
             + bracket(C, bracket(A, B))
         if not jac.is_zero():
-            return "Jacobi identity fails"
+            return f"Jacobi identity fails for {_matrices(A=A, B=B, C=C)}"
         lam = Fraction(rng.randint(-3, 3))
         if bracket(A.scale(lam) + B, C) != bracket(A, C).scale(lam) + bracket(B, C):
-            return "bilinearity fails"
+            return f"bilinearity fails for lambda = {lam}, {_matrices(A=A, B=B, C=C)}"
         return None
-    return _run("bracket identities", trials, seed, body)
+    return _run("bracket identities", trials, 107, body)
 
 
-def suite_killing_linearity(trials=200, seed=108):
+def suite_killing_linearity(trials=200):
     """K is bilinear; the assembled system reproduces it; radical rank-one
     fields are always symmetries."""
     def body(rng):
@@ -228,7 +237,7 @@ def suite_killing_linearity(trials=200, seed=108):
             if not verify_killing(g1, rank_one):
                 return f"radical rank-one field fails for {_form(g1)}"
         return None
-    return _run("Killing operator linearity and radical fields", trials, seed, body)
+    return _run("Killing operator linearity and radical fields", trials, 108, body)
 
 
 ALL_SUITES = (

@@ -244,11 +244,8 @@ def test_colinearity_groups():
         assert report.series_ok is not False
         expected_I, expected_delta = entry.series(branch.params)
         from cubicsym.liealg import InvariantSeries
-        i1, i2 = expected_I[0], expected_I[1]
         series.append((cid, InvariantSeries(
-            I=tuple(map(Fraction, expected_I)), delta=Fraction(expected_delta),
-            charpoly=(Fraction(1), -Fraction(i1), (i1 * i1 - i2) / 2,
-                      -Fraction(expected_delta)))))
+            I=tuple(map(Fraction, expected_I)), delta=Fraction(expected_delta))))
     for i in range(len(series)):
         for j in range(len(series)):
             verdict = colinearity(series[i][1], series[j][1])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicsym import catalog, form_of, solve, verify_killing
+from cubicsym import catalog, form_of, invariants, solve, verify_killing
 from cubicsym.catalog import ENTRIES, KNOWN_DISCREPANCIES, Branch, \
     ParameterRangeError, export_catalog, general_subclass, get_entry, \
     projective_table, verify_all, verify_branch, verify_entry
@@ -198,3 +198,33 @@ def test_recorded_generator_corrections_available():
         assert algebra.generators
         for g in algebra.generators:
             assert verify_killing(entry.build(branch.params), g)
+
+
+def test_audit_files_each_finding_kind_as_unknown(monkeypatch):
+    # a wrong oracle class, a wrong tau, a wrong series and a wrong projective
+    # expectation each become an unknown issue with the oracle's message text
+    entry = get_entry("1.1")
+    five = get_entry("2.1").branches()[0].expected
+    params = entry.resolve_params()
+    report = verify_branch(entry, Branch("wrong class", params, "2", five, 1))
+    assert not report.oracle_ok and report.known_issues == ()
+    assert report.unknown_issues == (
+        "oracle: computed (dim=2, inf=False, class=1) != expected "
+        "(dim=1, inf=False, class=5)",)
+    right = entry.branches()[0].expected
+    report = verify_branch(entry, Branch("wrong tau", params, "2", right, 2))
+    assert not report.tau_ok and report.oracle_ok
+    assert report.unknown_issues == ("tau: affine type 1 != 2",)
+
+    boost = get_entry("2.1")
+    monkeypatch.setattr(catalog, "invariants", lambda A: invariants(A.scale(2)))
+    report = verify_branch(boost, boost.branches()[0])
+    assert report.series_ok is False and report.known_issues == ()
+    assert report.unknown_issues == (
+        "series: computed invariant series differs from the recorded closed form",)
+
+    sample = catalog.ProjectiveSample("default", {}, "1", "8")
+    three = catalog.ProjectiveEntry("III", "F=1", lambda p: form_of(F=1), (sample,))
+    [report] = catalog.verify_projective(three)
+    assert report.computed_class == "1" and report.known_issues == ()
+    assert report.unknown_issues == ("class: computed 1 != expected 8",)

@@ -164,3 +164,10 @@ def test_equal_forms_do_not_share_reports(monkeypatch):
     ra, rb = classify(a), classify(b)
     assert ra is not rb and ra == rb
     assert len(calls) == 2 and calls[0] is a and calls[1] is b
+
+
+def test_compare_zero_form_with_a_cube_differs_in_radical():
+    # both are class 3(1): the zero form has the full radical, A1=1 a plane
+    verdict = compare(form_of(), form_of(A1=1))
+    assert verdict.verdict == NOT_EQUIVALENT
+    assert verdict.witness == "radical dimension 3 vs 2"

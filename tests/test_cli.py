@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from cubicsym import CubicForm, form_of, properties
+from cubicsym import CubicForm, Mat3, cli, form_of, liealg, properties
 from cubicsym.cli import _emit, main
 
 
@@ -51,6 +51,16 @@ def test_solve_json(files, capsys):
     assert payload["radical"] == [["0", "0", "1"]]
 
 
+def test_solve_plain(files, capsys):
+    path = files("g.json", {"B1": 1})
+    code, out, _ = run(capsys, "solve", "--form", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert "radical dimension:       1" in lines
+    assert "radical vector: (0, 0, 1)" in lines
+    assert "infinite family:         yes" in lines
+
+
 def test_invariants(files, capsys):
     path = files("case21.json", {"A1": 1, "F": 1})
     code, out, _ = run(capsys, "invariants", "--form", path, "--generator", "0")
@@ -64,6 +74,15 @@ def test_invariants_no_generators(files, capsys):
     code, _, err = run(capsys, "invariants", "--form", path)
     assert code == 1
     assert "no nontrivial" in err
+
+
+def test_invariants_generator_out_of_range(files, capsys):
+    path = files("case21.json", {"A1": 1, "F": 1})
+    code, out, err = run(capsys, "invariants", "--form", path, "--generator", "9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "generator index 9 out of range 0..0" in err
 
 
 def test_radical(files, capsys):
@@ -233,6 +252,17 @@ def test_catalog_list(capsys):
     assert payload[0]["id"] == "1.1"
 
 
+def test_catalog_list_plain(capsys):
+    code, out, _ = run(capsys, "catalog-list")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["id", "tau", "claimed", "branches", "components",
+                                "(defaults)"]
+    assert len(lines) == 42
+    assert lines[[line.split()[0] for line in lines].index("3.12")].split()[:4] == \
+        ["3.12", "3", "1", "1"]
+
+
 def test_catalog_verify_all(capsys):
     code, out, _ = run(capsys, "catalog-verify", "--all", "--json")
     payload = json.loads(out)
@@ -247,6 +277,25 @@ def test_catalog_verify_single(capsys):
     code, _, err = run(capsys, "catalog-verify", "--id", "7.7")
     assert code == 1
     assert "unknown catalog id" in err
+
+
+def test_catalog_verify_all_with_id_is_an_input_error(capsys):
+    code, out, err = run(capsys, "catalog-verify", "--all", "--id", "3.8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--id" in err
+
+
+def test_internal_key_error_propagates(files, capsys, monkeypatch):
+    # only catalog-verify --id turns its unknown-id KeyError into an input
+    # error; a KeyError from inside a computation is a fault and keeps its traceback
+    def broken(form):
+        raise KeyError("internal bug")
+    monkeypatch.setattr(cli, "classify", broken)
+    path = files("bm.json", {"F": 1})
+    with pytest.raises(KeyError, match="internal bug"):
+        main(["classify", "--form", path])
 
 
 def test_projective_table(capsys):
@@ -305,3 +354,31 @@ def test_selftest_failure_prints_seed_and_form_json(capsys, monkeypatch, tmp_pat
         path.write_text(text)
         code, classified, _ = run(capsys, "classify", "--form", str(path))
         assert code == 0 and "symmetry class:" in classified
+
+
+def test_selftest_failure_prints_matrices_as_json(capsys, monkeypatch):
+    # invariants taken of A + E11 change under conjugation and break
+    # Cayley-Hamilton, and a bracket A B is not antisymmetric: each failure
+    # prints its matrices as JSON that transform --matrix reads
+    e11 = Mat3.diag(1, 0, 0)
+    monkeypatch.setattr(properties, "invariants", lambda A: liealg.invariants(A + e11))
+    monkeypatch.setattr(properties, "bracket", lambda A, B: A @ B)
+    code, out, _ = run(capsys, "selftest", "--trials", "3")
+    assert code == 1
+    matrix_suites = ("Cayley-Hamilton and trace recursion",
+                     "conjugation invariance of invariants", "bracket identities")
+    failures, suite = [], None
+    for line in out.splitlines():
+        if not line.startswith(" "):
+            suite = line.split(":")[0]
+        elif suite in matrix_suites:
+            failures.append(line)
+    for name in matrix_suites:
+        assert f"{name}: FAIL" in out
+    assert any("T = [[" in line for line in failures)
+    assert any("bracket(A,A) != 0 for A = [[" in line for line in failures)
+    for line in failures:
+        matrices = re.findall(r"\b([ABCT]) = (\[\[.*?\]\])", line)
+        assert matrices, line
+        for _, text in matrices:
+            assert isinstance(Mat3.from_json(json.loads(text)), Mat3)

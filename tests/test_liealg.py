@@ -84,7 +84,7 @@ def structure_constants_oracle(basis):
             for k in range(n):
                 c[k][i][j] = coords[k]
                 c[k][j][i] = -coords[k]
-    return StructureConstants(n=n, c=tuple(tuple(tuple(row) for row in layer) for layer in c))
+    return StructureConstants(c=tuple(tuple(tuple(row) for row in layer) for layer in c))
 
 
 def _outcome(f, basis):
