@@ -281,7 +281,8 @@ def cmd_selftest(args):
     for result in results:
         print(result.summary())
         for f in result.failures:
-            print(f"    {f}")
+            for line in f.splitlines():
+                print(f"    {line}")
         ok = ok and result.ok
     audit = catalog.verify_all()
     passed, total = audit.generator_tally()
@@ -289,6 +290,16 @@ def cmd_selftest(args):
           f"{len(audit.known_discrepancies)} known discrepancies, "
           f"{len(audit.unknown_discrepancies)} unknown, "
           f"generators {passed}/{total}")
+    # each unknown finding, then the command that reproduces it (--id takes
+    # affine entries only, so a projective sample needs the full audit)
+    for r in audit.branch_reports:
+        if r.unknown_issues:
+            print(f"    {r.entry_id} [{r.branch}]: {'; '.join(r.unknown_issues)}")
+            print(f"      $ cubicsym catalog-verify --id {r.entry_id}")
+    for r in audit.projective_reports:
+        if r.unknown_issues:
+            print(f"    projective {r.entry_id} [{r.sample}]: {'; '.join(r.unknown_issues)}")
+            print("      $ cubicsym catalog-verify --all")
     ok = ok and not audit.unknown_discrepancies
     print("selftest:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

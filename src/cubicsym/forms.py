@@ -379,15 +379,31 @@ def _int_tensor(form):
 @lru_cache(maxsize=4)
 def _frame_tables(radius):
     """The tables of the frame search that depend only on the radius:
-    (cols, monos, after).  cols are the canonical columns, monos[u] the
+    (cols, monos, after, unit).  cols are the canonical columns, monos[u] the
     quadratic monomials u_d u_e of column u in the order 11, 12, 13, 22, 23,
-    33, and after[u] the mask of the columns after column u."""
+    33, after[u] the mask of the columns after column u and unit[u] the bit
+    1 << u of column u, for every column of the radius."""
     cols = tuple(_canonical_columns(radius))
     monos = tuple((u0 * u0, u0 * u1, u0 * u2, u1 * u1, u1 * u2, u2 * u2)
                   for u0, u1, u2 in cols)
+    unit = tuple(1 << i for i in range(len(cols)))
     full = (1 << len(cols)) - 1
-    after = tuple(full ^ ((2 << i) - 1) for i in range(len(cols)))
-    return cols, monos, after
+    after = tuple(full ^ ((u << 1) - 1) for u in unit)
+    return cols, monos, after, unit
+
+
+@lru_cache(maxsize=8)
+def _packed_columns(radius, w):
+    """The packed columns of the frame search for a field width of w bits:
+    (high, low, biased, packed).  Column v owns bits w v .. w v + w - 1 of a
+    packed int; packed[i] holds the i-th entries of all columns, high the top
+    bit of every field, low the bits below it and biased 2^(w-2) in every
+    field."""
+    cols = _frame_tables(radius)[0]
+    ones = sum(1 << (w * iv) for iv in range(len(cols)))
+    high = ones << (w - 1)
+    packed = tuple(sum(v[i] << (w * iv) for iv, v in enumerate(cols)) for i in range(3))
+    return high, high - ones, ones << (w - 2), packed
 
 
 def _second_columns(flat, t0_a, t1_a, base, full):
@@ -397,19 +413,31 @@ def _second_columns(flat, t0_a, t1_a, base, full):
 
     With s(b) = [d(b) = 0] + [G(a,a,b) = 0] + [G(b,b,a) = 0], the pair may
     still spend k = base + s(b) nonzero components on c, and every such c lies
-    in Z_k: t0_a & flat, t0_a | t1_a & flat, t1_a | flat, then every column.
-    So b must come before the last column of Z_k."""
-    parity = flat ^ t0_a ^ t1_a
-    major = flat & t1_a | t0_a
-    levels = (t0_a & flat, t0_a | t1_a & flat, t1_a | flat, full)
-    mask = 0
-    for s, cls in enumerate((~(flat | t1_a), parity ^ parity & major,
-                             major ^ parity & major, parity & major)):
-        k = base + s
-        if k >= 0:
-            z = levels[min(k, 3)]
-            mask |= cls & ((1 << z.bit_length()) - 1) >> 1
-    return mask
+    in Z_k, the columns with s >= 3 - k (every column once k >= 3).  So b must
+    come before the last column of Z_k; as the Z_k are nested, b is kept when
+    s(b) >= i - base and b comes before the last column of Z_i, for some i."""
+    if base >= 3:
+        return full >> 1
+    if base < -3:
+        return 0
+    # the columns with s >= 1, 2 and 3, and the columns before the last of each
+    s1 = flat | t1_a
+    s2 = flat & t1_a | t0_a
+    s3 = flat & t0_a
+    cut1 = ((1 << s1.bit_length()) - 1) >> 1
+    cut2 = ((1 << s2.bit_length()) - 1) >> 1
+    cut3 = ((1 << s3.bit_length()) - 1) >> 1
+    if base == 2:
+        return cut1 | s1 & full >> 1
+    if base == 1:
+        return cut2 | s1 & cut1 | s2 & full >> 1
+    if base == 0:
+        return cut3 | s1 & cut2 | s2 & cut1 | s3 & full >> 1
+    if base == -1:
+        return s1 & cut3 | s2 & cut2 | s3 & cut1
+    if base == -2:
+        return s2 & cut3 | s3 & cut2
+    return s3 & cut3
 
 
 def tau0_upper_bound(form, radius):
@@ -426,16 +454,20 @@ def tau0_upper_bound(form, radius):
     and B3 = G(c,c,b).  So besides F = G(a,b,c) a frame has
     d(a) + d(b) + d(c) + t(a,b) + t(a,c) + t(b,c) nonzero components, with
     d(u) = [G(u,u,u) != 0] and t(u,v) = [G(u,u,v) != 0] + [G(v,v,u) != 0].
-    The columns, their quadratic monomials and the masks of later columns are
-    built once per radius (_frame_tables); per call G(u,u,.) comes from the
-    monomials and the zero pattern of G(u,u,v) becomes bitmasks over the
-    columns.  The second columns b of a first column a that leave a candidate
-    third column (_second_columns), and the third columns c of a pair, are
-    then a few mask ANDs and ORs; they are walked in increasing order and
-    narrowed whenever the bound drops.  G(a,.,.) is computed only for a first
-    column with a candidate pair, G(a,b,.) only for a pair with a candidate c,
-    and the determinant only for a triple that would improve the bound, so
-    the first strictly improving frame in enumeration order wins.
+
+    Per radius (_frame_tables): the columns, their quadratic monomials, the
+    masks of later columns and the unit bit of each column.  Per radius and
+    field width w (_packed_columns): the columns packed into three ints, one
+    w-bit field per column.  Per call: G(u,u,.) from the monomials, w from its
+    size, the zero pattern of G(u,u,v) as bitmasks over the columns (one
+    packed product per column u) and the masks of third columns that each
+    second column leaves.  The second columns b of a first column a that leave
+    a candidate third column (_second_columns), and the third columns c of a
+    pair, are then a few mask ANDs and ORs; they are walked in increasing
+    order and narrowed whenever the bound drops.  G(a,.,.) is computed only
+    for a first column with a candidate pair, G(a,b,.) only for a pair with a
+    candidate c, and the determinant only for a triple that would improve the
+    bound, so the first strictly improving frame in enumeration order wins.
     """
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
         raise ValueError("radius must be an int >= 1")
@@ -445,44 +477,47 @@ def tau0_upper_bound(form, radius):
     if best == floor:
         return best, witness
     tensor, _ = _int_tensor(form)
-    cols, monos, after = _frame_tables(radius)
+    cols, monos, after, unit = _frame_tables(radius)
     ncols = len(cols)
     full = (1 << ncols) - 1
     # quad[u][f] = G(u, u, f) = sum over d <= e of u_d u_e coef[f][de]
-    coef = [(tensor[0][0][f], 2 * tensor[0][1][f], 2 * tensor[0][2][f],
-             tensor[1][1][f], 2 * tensor[1][2][f], tensor[2][2][f]) for f in range(3)]
-    quad = [[m[0] * c[0] + m[1] * c[1] + m[2] * c[2] + m[3] * c[3] + m[4] * c[4] + m[5] * c[5]
-             for c in coef] for m in monos]
+    (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5), (r0, r1, r2, r3, r4, r5) = (
+        (tensor[0][0][f], 2 * tensor[0][1][f], 2 * tensor[0][2][f],
+         tensor[1][1][f], 2 * tensor[1][2][f], tensor[2][2][f]) for f in range(3))
+    quad = [(m0 * p0 + m1 * p1 + m2 * p2 + m3 * p3 + m4 * p4 + m5 * p5,
+             m0 * q0 + m1 * q1 + m2 * q2 + m3 * q3 + m4 * q4 + m5 * q5,
+             m0 * r0 + m1 * r1 + m2 * r2 + m3 * r3 + m4 * r4 + m5 * r5)
+            for m0, m1, m2, m3, m4, m5 in monos]
     # zero[u]: columns v with G(u, u, v) = 0; zero_t[u]: columns v with G(v, v, u) = 0.
     # quad[u] . v for every v at once: column v owns a w-bit field of a packed
-    # int holding quad[u] . v + bound, which lies in [0, 2 bound], and a field
+    # int holding quad[u] . v + 2^(w-2), which lies in [1, 2^(w-1)), and a field
     # is zero exactly when its top bit survives high & ~(((e & low) + low) | e).
-    bound = radius * max(abs(q[0]) + abs(q[1]) + abs(q[2]) for q in quad)
+    bound = radius * max(abs(x) + abs(y) + abs(z) for x, y, z in quad)
     w = (2 * bound).bit_length() + 1
-    ones = sum(1 << (w * iv) for iv in range(ncols))
-    high = ones << (w - 1)
-    low = high - ones
-    biased = bound * ones
-    packed = [sum(v[i] << (w * iv) for iv, v in enumerate(cols)) for i in range(3)]
-    zero = [0] * ncols
+    high, low, biased, (c0, c1, c2) = _packed_columns(radius, w)
+    zero = []
     zero_t = [0] * ncols
-    for iu, q in enumerate(quad):
-        e = (q[0] * packed[0] + q[1] * packed[1] + q[2] * packed[2] + biased) ^ biased
+    flat = 0        # columns v with d(v) = 0
+    for iu, (x, y, z) in enumerate(quad):
+        e = (x * c0 + y * c1 + z * c2 + biased) ^ biased
         m = high & ~(((e & low) + low) | e)
-        while m:
-            bit = m & -m
-            iv = bit.bit_length() // w - 1
-            zero[iu] |= 1 << iv
-            zero_t[iv] |= 1 << iu
-            m ^= bit
-    # flat: columns v with d(v) = 0
-    flat = sum(1 << iu for iu in range(ncols) if zero[iu] >> iu & 1)
+        row = 0
+        if m:
+            bit_u = unit[iu]
+            while m:
+                top = m.bit_length()
+                m ^= 1 << (top - 1)
+                iv = top // w - 1
+                row |= unit[iv]
+                zero_t[iv] |= bit_u
+            flat |= row & bit_u
+        zero.append(row)
     # reach[u][k + 2]: columns v after u with d(v) + t(u, v) <= k, for -2 <= k <= 9
     reach = []
     for z, zt, later in zip(zero, zero_t, after):
         m0, m1 = z & zt, z | zt
-        reach.append((0, 0, flat & m0 & later, (flat & m1 | m0) & later, (flat | m1) & later)
-                     + (later,) * 7)
+        reach.append((0, 0, flat & m0 & later, (flat & m1 | m0) & later, (flat | m1) & later,
+                      later, later, later, later, later, later, later))
     for ia in range(ncols):
         za, zta = zero[ia], zero_t[ia]
         t0_a, t1_a = za & zta, za | zta

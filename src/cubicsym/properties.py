@@ -4,9 +4,10 @@ Each suite draws seeded random instances, checks an algebraic identity
 exactly, and returns a SuiteResult.  The suites back both the test suite and
 the command-line selftest.  Failures carry a reproducible description of the
 offending instance: its suite seed and, for a drawn form, describe() text
-with the form JSON that `cubicsym classify --form` reads, or for a drawn
-matrix its JSON, which `cubicsym transform --matrix` reads.  Each suite
-draws from its own fixed seed, 101 to 108.
+with the form JSON that `cubicsym classify --form` reads, followed by a
+one-line shell command that classifies it, or for a drawn matrix its JSON,
+which `cubicsym transform --matrix` reads.  Each suite draws from its own
+fixed seed, 101 to 108.
 
 Random forms are drawn from a mix of sparse small-integer forms, catalog
 instances and random pullbacks of catalog instances, so kernels of every
@@ -15,6 +16,7 @@ dimension (0, 1, 2 and infinite families) actually occur.
 
 import json
 import random
+import shlex
 from fractions import Fraction
 
 from . import catalog
@@ -78,9 +80,20 @@ def random_vec(rng):
     return tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
 
 
+def _form_json(g):
+    return json.dumps(g.to_json(), sort_keys=True)
+
+
 def _form(g):
     """describe() text of a drawn form with its JSON, for a failure message."""
-    return f"{g.describe()} (form JSON {json.dumps(g.to_json(), sort_keys=True)})"
+    return f"{g.describe()} (form JSON {_form_json(g)})"
+
+
+def _failure(message, *forms):
+    """A failure message, then for each drawn form in it a line with the
+    shell command that classifies the form from its JSON."""
+    return "\n".join([message] + [f"  $ echo {shlex.quote(_form_json(g))} "
+                                   "| cubicsym classify --form /dev/stdin" for g in forms])
 
 
 def _matrices(**named):
@@ -107,11 +120,11 @@ def suite_evaluate_pullback(trials=200):
         T = random_invertible(rng)
         v = random_vec(rng)
         if g.pullback(T).evaluate(v) != g.evaluate(T.apply(v)):
-            return f"pullback/evaluate mismatch for {_form(g)}"
+            return _failure(f"pullback/evaluate mismatch for {_form(g)}", g)
         lam = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         scaled = tuple(lam * c for c in v)
         if g.evaluate(scaled) != lam ** 3 * g.evaluate(v):
-            return f"homogeneity failure for {_form(g)}"
+            return _failure(f"homogeneity failure for {_form(g)}", g)
         return None
     return _run("evaluate/pullback compatibility", trials, 101, body)
 
@@ -125,7 +138,7 @@ def suite_radical_covariance(trials=200):
         inv = T.inverse()
         mapped = [list(inv.apply(v)) for v in g.radical()]
         if not span_equal(direct, mapped):
-            return f"radical covariance failure for {_form(g)}"
+            return _failure(f"radical covariance failure for {_form(g)}", g)
         return None
     return _run("radical covariance", trials, 102, body)
 
@@ -138,11 +151,11 @@ def suite_kernel_covariance(trials=200):
         rep = classify(g)
         rep2 = classify(g.pullback(T))
         if rep.label != rep2.label:
-            return (f"class label changed under pullback: {rep.label} -> "
-                    f"{rep2.label} for {_form(g)}")
+            return _failure(f"class label changed under pullback: {rep.label} -> "
+                            f"{rep2.label} for {_form(g)}", g)
         moved = conjugated_generators(rep.algebra, T)
         if not same_span(moved, list(rep2.algebra.generators)):
-            return f"kernel span not covariant for {_form(g)}"
+            return _failure(f"kernel span not covariant for {_form(g)}", g)
         return None
     return _run("kernel and class covariance", trials, 103, body)
 
@@ -156,12 +169,12 @@ def suite_lie_closure(trials=200):
         vectors = [m.flatten() for m in algebra.generators]
         for A in algebra.generators:
             if not verify_killing(g, A):
-                return f"kernel element fails the Killing check for {_form(g)}"
+                return _failure(f"kernel element fails the Killing check for {_form(g)}", g)
         for i in range(len(algebra.generators)):
             for j in range(i + 1, len(algebra.generators)):
                 br = bracket(algebra.generators[i], algebra.generators[j])
                 if not in_span(vectors, br.flatten()):
-                    return f"bracket escapes the kernel for {_form(g)}"
+                    return _failure(f"bracket escapes the kernel for {_form(g)}", g)
         return None
     return _run("Lie closure of kernels", trials, 104, body)
 
@@ -227,15 +240,16 @@ def suite_killing_linearity(trials=200):
         lhs = killing_operator(g1 + g2, A)
         rhs = killing_operator(g1, A) + killing_operator(g2, A)
         if lhs != rhs:
-            return f"K not linear in the form for {_form(g1)} and {_form(g2)}"
+            return _failure(f"K not linear in the form for {_form(g1)} and {_form(g2)}",
+                            g1, g2)
         system = build_system(g1)
         if system.apply(A) != killing_operator(g1, A):
-            return f"assembled system disagrees with K for {_form(g1)}"
+            return _failure(f"assembled system disagrees with K for {_form(g1)}", g1)
         for v in g1.radical():
             w = random_vec(rng)
             rank_one = Mat3([[v[i] * w[j] for j in range(3)] for i in range(3)])
             if not verify_killing(g1, rank_one):
-                return f"radical rank-one field fails for {_form(g1)}"
+                return _failure(f"radical rank-one field fails for {_form(g1)}", g1)
         return None
     return _run("Killing operator linearity and radical fields", trials, 108, body)
 

@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cubicsym import CubicForm, Mat3, cli, form_of, liealg, properties
+import cubicsym
+from cubicsym import CubicForm, Mat3, catalog, cli, form_of, liealg, properties
 from cubicsym.cli import _emit, main
 
 
@@ -354,6 +360,45 @@ def test_selftest_failure_prints_seed_and_form_json(capsys, monkeypatch, tmp_pat
         path.write_text(text)
         code, classified, _ = run(capsys, "classify", "--form", str(path))
         assert code == 0 and "symmetry class:" in classified
+    # each failure is followed by a shell command that classifies its form;
+    # run it as printed, with a cubicsym on PATH that runs this checkout
+    commands = [line.strip()[2:] for line in out.splitlines() if line.strip().startswith("$ ")]
+    assert len(commands) == 3
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    script = bin_dir / "cubicsym"
+    script.write_text(f"#!{sys.executable}\nimport sys\n"
+                      f"sys.path.insert(0, {str(Path(cubicsym.__file__).parents[1])!r})\n"
+                      "from cubicsym.cli import main\nsys.exit(main())\n")
+    script.chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    for command, line in zip(commands, lines):
+        text = re.search(r"form JSON (\{[^}]*\})", line).group(1)
+        assert command == f"echo {shlex.quote(text)} | cubicsym classify --form /dev/stdin"
+        proc = subprocess.run(command, shell=True, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "symmetry class:" in proc.stdout
+
+
+def test_selftest_names_unknown_audit_findings(capsys, monkeypatch):
+    # drop one affine and one projective finding from the ledger: selftest
+    # fails, names each as unknown and prints the command that reproduces it
+    known = dict(catalog.KNOWN_DISCREPANCIES)
+    del known[("2.4", "dimension")], known[("X", "table")]
+    monkeypatch.setattr(catalog, "KNOWN_DISCREPANCIES", known)
+    code, out, _ = run(capsys, "selftest", "--trials", "1")
+    assert code == 1
+    assert "12 known discrepancies, 2 unknown" in out
+    lines = out.splitlines()
+    i = lines.index("      $ cubicsym catalog-verify --id 2.4")
+    assert lines[i - 1].startswith("    2.4 [default]: dimension: ")
+    j = lines.index("      $ cubicsym catalog-verify --all")
+    assert lines[j - 1].startswith("    projective X [default]: table: ")
+    assert lines[-1] == "selftest: FAIL"
+    for k in (i, j):
+        code, verified, _ = run(capsys, *shlex.split(lines[k].strip())[2:])
+        assert code == 2
+        assert lines[k - 1].split(": ", 1)[1] in verified
 
 
 def test_selftest_failure_prints_matrices_as_json(capsys, monkeypatch):

@@ -385,6 +385,15 @@ def test_tau0_matches_table_oracle():
     g = form_of(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
     for radius in (2, 1, 2):
         assert tau0_upper_bound(g, radius) == tau0_table_oracle(g, radius), radius
+    # radius 3 (171 columns): the same mix, then a form alternating with its
+    # 10**40/3 scaling, so that columns packed for one field width are never
+    # used for another
+    for g in box:
+        assert tau0_upper_bound(g, 3) == tau0_table_oracle(g, 3), g
+    g = box[-1]
+    expected = tau0_table_oracle(g, 3)
+    for h in (g, g.scale(Fraction(10 ** 40, 3)), g):
+        assert tau0_upper_bound(h, 3) == expected, h
 
 
 def test_json_round_trip():
