@@ -49,6 +49,9 @@ def _load_json(path, what):
         # JSONDecodeError, UnicodeDecodeError, and the ValueError json raises
         # for an integer literal longer than the interpreter's digit limit
         raise InputError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # json's decoder recurses once per nested array or object
+        raise InputError(f"{what} file {path!r} nests too deeply to parse: {exc}") from exc
 
 
 def load_form(path):

@@ -49,6 +49,10 @@ SORTED_TRIPLES = (
 _FULL_INDEX = tuple(tuple(tuple(SORTED_TRIPLES.index(tuple(sorted((d, e, f))))
                                 for f in (1, 2, 3)) for e in (1, 2, 3)) for d in (1, 2, 3))
 
+# component names in SORTED_TRIPLES order
+_SORTED_NAMES = tuple(TRIPLE_TO_NAME[t] for t in SORTED_TRIPLES)
+_sorted_components = attrgetter(*_SORTED_NAMES)
+
 # evaluation weight = number of distinct permutations of the triple
 _ORBIT_SIZE = {t: (1 if t[0] == t[2] else (6 if len(set(t)) == 3 else 3))
                for t in SORTED_TRIPLES}
@@ -252,14 +256,13 @@ class CubicForm:
 
     def component(self, alpha, beta, gamma):
         """Tensor component for any index order; permutation invariant."""
-        idx = tuple(sorted((alpha, beta, gamma)))
-        if idx not in TRIPLE_TO_NAME:
+        if alpha not in (1, 2, 3) or beta not in (1, 2, 3) or gamma not in (1, 2, 3):
             raise IndexError(f"index {(alpha, beta, gamma)} out of range 1..3")
-        return getattr(self, TRIPLE_TO_NAME[idx])
+        return getattr(self, _SORTED_NAMES[_FULL_INDEX[alpha - 1][beta - 1][gamma - 1]])
 
     def components(self):
         """Component vector over SORTED_TRIPLES."""
-        return [getattr(self, TRIPLE_TO_NAME[t]) for t in SORTED_TRIPLES]
+        return list(_sorted_components(self))
 
     def evaluate(self, v):
         """G(v, v, v) as the full 27-term contraction (orbit-weighted sum)."""
@@ -296,9 +299,9 @@ class CubicForm:
 
     def radical(self):
         """Canonical basis of {v : v^d G_{d b c} = 0 for all b, c}."""
-        contraction = []
-        for (b, c) in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
-            contraction.append([self.component(d, b, c) for d in (1, 2, 3)])
+        G = _full_tensor(self.components())
+        contraction = [[G[d][b][c] for d in range(3)]
+                       for b, c in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
         return [tuple(vec) for vec in nullspace(contraction, ncols=3)]
 
     def affine_type(self):
@@ -369,11 +372,17 @@ def _canonical_columns(radius):
     return cols
 
 
+def _full_tensor(flat):
+    """The 3x3x3 tensor T[d][e][f] = flat[position of the sorted (d+1, e+1, f+1)]
+    of a component vector over SORTED_TRIPLES."""
+    return [[[flat[k] for k in row] for row in plane] for plane in _FULL_INDEX]
+
+
 def _int_tensor(form):
     """(M, m): m is the lcm of the component denominators and M the integer
     tensor with M[d][e][f] = m * G(d+1, e+1, f+1)."""
     flat, m = scale_to_integers(form.components())
-    return [[[flat[k] for k in row] for row in plane] for plane in _FULL_INDEX], m
+    return _full_tensor(flat), m
 
 
 @lru_cache(maxsize=4)

@@ -23,21 +23,37 @@ counting the generators that are not accounted for by radical families.
 from fractions import Fraction
 
 from ._record import record
-from .forms import CubicForm, Mat3, SORTED_TRIPLES, TRIPLE_TO_NAME, format_scalar
+from .forms import (SORTED_TRIPLES, CubicForm, Mat3, _SORTED_NAMES, _full_tensor,
+                    format_scalar)
 from .linalg import nullspace
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+# SORTED_TRIPLES with 0-based indices
+_SORTED0 = tuple((a - 1, b - 1, c - 1) for a, b, c in SORTED_TRIPLES)
+
+# rows of the nine elementary matrices E_ij (A^i_j = 1), in row-major order of (i, j)
+_UNITS = tuple(tuple(tuple(_ONE if (r, c) == (i, j) else _ZERO for c in range(3))
+                     for r in range(3)) for i in range(3) for j in range(3))
+
+
+def _contract(G, rows):
+    """K(A) over SORTED_TRIPLES, from the full tensor G[d][e][f] = G(d+1, e+1, f+1)
+    and the rows of A: the dense three-term sum over d, in that order."""
+    out = []
+    for a, b, c in _SORTED0:
+        total = _ZERO
+        for d in range(3):
+            row = rows[d]
+            total += row[a] * G[d][b][c] + row[b] * G[a][d][c] + row[c] * G[a][b][d]
+        out.append(total)
+    return out
 
 
 def killing_operator(form, A):
     """Symmetrized contraction K(A); identically zero iff X = A x is Killing."""
-    comps = {}
-    for (a, b, c) in SORTED_TRIPLES:
-        total = Fraction(0)
-        for d in (1, 2, 3):
-            total += (A.rows[d - 1][a - 1] * form.component(d, b, c)
-                      + A.rows[d - 1][b - 1] * form.component(a, d, c)
-                      + A.rows[d - 1][c - 1] * form.component(a, b, d))
-        comps[TRIPLE_TO_NAME[(a, b, c)]] = total
-    return CubicForm(**comps)
+    return CubicForm(**dict(zip(_SORTED_NAMES,
+                                _contract(_full_tensor(form.components()), A.rows))))
 
 
 def verify_killing(form, A):
@@ -51,27 +67,15 @@ class KillingSystem:
 
     matrix: tuple
 
-    def apply(self, A):
-        flat = A.flatten()
-        comps = {}
-        for row, triple in zip(self.matrix, SORTED_TRIPLES):
-            comps[TRIPLE_TO_NAME[triple]] = sum(m * v for m, v in zip(row, flat))
-        return CubicForm(**comps)
-
     def kernel(self):
         return nullspace([list(row) for row in self.matrix], ncols=9)
 
 
 def build_system(form):
-    """Assemble the Killing system by applying K to the nine elementary matrices."""
-    columns = []
-    for i in range(3):
-        for j in range(3):
-            unit = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-            unit[i][j] = 1
-            columns.append(killing_operator(form, Mat3(unit)).components())
-    matrix = tuple(tuple(columns[j][i] for j in range(9)) for i in range(10))
-    return KillingSystem(matrix)
+    """Assemble the Killing system: column 3i + j is K(E_ij), from one full
+    tensor of the form."""
+    G = _full_tensor(form.components())
+    return KillingSystem(tuple(zip(*(_contract(G, unit) for unit in _UNITS))))
 
 
 @record

@@ -22,7 +22,8 @@ from fractions import Fraction
 from . import catalog
 from ._record import record
 from .classify import classify, conjugated_generators, same_span
-from .forms import COMPONENT_NAMES, Mat3, form_of
+from .forms import (COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, Mat3, form_of,
+                    format_scalar)
 from .killing import build_system, killing_operator, solve, verify_killing
 from .liealg import bracket, invariants
 from .linalg import in_span, span_equal
@@ -232,8 +233,12 @@ def suite_bracket_identities(trials=200):
 
 
 def suite_killing_linearity(trials=200):
-    """K is bilinear; the assembled system reproduces it; radical rank-one
-    fields are always symmetries."""
+    """K is linear in the form; the assembled system M gives the derivative of
+    G along the field; radical rank-one fields are always symmetries.
+
+    With p(t) = G(x + tAx), K(A)(x) = 3 G(Ax, x, x) = p'(0), and p is a cubic
+    in t, so the five-point difference (8(p(1) - p(-1)) - (p(2) - p(-2))) / 12
+    gives p'(0) exactly, from evaluate alone."""
     def body(rng):
         g1, g2 = random_form(rng), random_form(rng)
         A = random_matrix(rng)
@@ -242,9 +247,18 @@ def suite_killing_linearity(trials=200):
         if lhs != rhs:
             return _failure(f"K not linear in the form for {_form(g1)} and {_form(g2)}",
                             g1, g2)
-        system = build_system(g1)
-        if system.apply(A) != killing_operator(g1, A):
-            return _failure(f"assembled system disagrees with K for {_form(g1)}", g1)
+        x = random_vec(rng)
+        Ax = A.apply(x)
+
+        def p(t):
+            return g1.evaluate([u + t * v for u, v in zip(x, Ax)])
+        flat = A.flatten()
+        image = form_of(**{TRIPLE_TO_NAME[t]: sum(m * v for m, v in zip(row, flat))
+                           for t, row in zip(SORTED_TRIPLES, build_system(g1).matrix)})
+        if image.evaluate(x) != (8 * (p(1) - p(-1)) - (p(2) - p(-2))) / 12:
+            x_json = json.dumps([format_scalar(c) for c in x])
+            return _failure(f"assembled system disagrees with d/dt G(x + tAx) at t = 0 "
+                            f"for {_form(g1)}, {_matrices(A=A)}, x = {x_json}", g1)
         for v in g1.radical():
             w = random_vec(rng)
             rank_one = Mat3([[v[i] * w[j] for j in range(3)] for i in range(3)])

@@ -222,6 +222,23 @@ def test_overlong_integer_in_matrix_file_is_an_input_error(files, capsys, tmp_pa
     assert "is not valid JSON" in err
 
 
+@pytest.mark.parametrize("option", ["--form", "--other", "--matrix"])
+def test_deeply_nested_json_is_an_input_error(files, capsys, tmp_path, option):
+    # json's decoder raises RecursionError, not ValueError, on deep nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    form = files("g.json", {"F": 1})
+    identity = files("id.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    argv = {"--form": ["classify", "--form", str(deep)],
+            "--other": ["compare", "--form", form, "--other", str(deep)],
+            "--matrix": ["transform", "--form", form, "--matrix", str(deep)]}[option]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nests too deeply" in err
+
+
 def test_overlong_integer_in_output_is_an_error(files, capsys):
     # each entry has 1,501 digits, but the pulled-back F = 10^4500 has 4,501:
     # over the interpreter's limit for int-to-str conversion (4300)

@@ -76,8 +76,26 @@ def test_build_system_row_order_and_bm_row():
     assert list(row) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
     rng = random.Random(53)
     for _ in range(20):
+        g = random_form(rng)
         A = random_matrix(rng)
-        assert system.apply(A) == killing_operator(form_of(F=1), A)
+        flat = A.flatten()
+        oracle = killing_oracle(g, A)
+        for row, triple in zip(build_system(g).matrix, SORTED_TRIPLES):
+            assert sum(m * v for m, v in zip(row, flat)) == oracle[triple]
+
+
+def test_build_system_stencil_entries():
+    # column 3(i-1) + (j-1) is K of the unit matrix A^i_j = 1, whose (abc)
+    # component keeps the d = i terms with a, b or c equal to j
+    rng = random.Random(79)
+    for _ in range(200):
+        g = random_form(rng)
+        matrix = build_system(g).matrix
+        for row, (a, b, c) in zip(matrix, SORTED_TRIPLES):
+            for i, j in product((1, 2, 3), repeat=2):
+                assert row[3 * (i - 1) + (j - 1)] == (
+                    (j == a) * g.component(i, b, c) + (j == b) * g.component(a, i, c)
+                    + (j == c) * g.component(a, b, i))
 
 
 def test_build_system_linear_in_form():
