@@ -28,7 +28,7 @@ from itertools import product
 
 from ._record import record
 from .classify import SymmetryClass, classify
-from .forms import Mat3, form_of, scalar_to_json
+from .forms import Mat3, form_of, parse_scalar, scalar_to_json
 # solve is not called here, but perfbench/run.py traces catalog.solve by name
 from .killing import solve, verify_killing  # noqa: F401
 from .liealg import invariants
@@ -94,7 +94,7 @@ class CatalogEntry:
             spec = next((p for p in self.params if p.name == name), None)
             if spec is None:
                 raise ParameterRangeError(f"{self.id}: unknown parameter {name!r}")
-            params[name] = Fraction(value)
+            params[name] = parse_scalar(value)
         for spec in self.params:
             v = params[spec.name]
             if spec.kind == "sign" and v not in (1, -1):

@@ -110,13 +110,16 @@ class Mat3:
     """Immutable 3x3 matrix of exact rationals.
 
     Doubles as an affine transform T (new components X^a = T^a_b x^b) and as
-    the coefficient matrix of a linear vector field.
+    the coefficient matrix of a linear vector field.  Entries are read by
+    parse_scalar, so a float or a bool is refused with TypeError.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        # ints, the entries of every integer frame, skip parse_scalar's checks
+        rows = tuple(tuple(Fraction(v) if v.__class__ is int else parse_scalar(v) for v in row)
+                     for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Mat3 needs a 3x3 array")
         object.__setattr__(self, "rows", rows)
@@ -159,7 +162,7 @@ class Mat3:
                           for ra, rb in zip(self.rows, other.rows)))
 
     def scale(self, c):
-        c = Fraction(c)
+        c = parse_scalar(c)
         return Mat3(tuple(tuple(c * v for v in row) for row in self.rows))
 
     def __matmul__(self, other):
@@ -216,7 +219,7 @@ class Mat3:
                 or any(not isinstance(row, list) or len(row) != 3 for row in data)):
             raise ValueError("matrix JSON must be a 3x3 array")
         try:
-            return cls(tuple(tuple(parse_scalar(v) for v in row) for row in data))
+            return cls(data)
         except TypeError as exc:
             raise ValueError(f"bad matrix entry: {exc}") from exc
 
@@ -231,14 +234,16 @@ class CubicForm:
     An immutable value: equality and hash go by class and components.  One
     is built per Killing operator call, so it is written out here rather
     than made a record, and it keeps an instance __dict__, where classify
-    stores the form's report.
+    stores the form's report.  Components are read by parse_scalar, so a
+    float or a bool is refused with TypeError.
     """
 
     def __init__(self, A1=_ZERO, A2=_ZERO, A3=_ZERO, B1=_ZERO, B2=_ZERO, B3=_ZERO,
                  C1=_ZERO, C2=_ZERO, C3=_ZERO, F=_ZERO):
         d = self.__dict__
         for name, value in zip(COMPONENT_NAMES, (A1, A2, A3, B1, B2, B3, C1, C2, C3, F)):
-            d[name] = value if value.__class__ is Fraction else Fraction(value)
+            d[name] = (value if value.__class__ is Fraction
+                       else Fraction(value) if value.__class__ is int else parse_scalar(value))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -315,7 +320,7 @@ class CubicForm:
         return CubicForm(**{n: getattr(self, n) + getattr(other, n) for n in COMPONENT_NAMES})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = parse_scalar(c)
         return CubicForm(**{n: c * getattr(self, n) for n in COMPONENT_NAMES})
 
     def to_json(self):
@@ -355,7 +360,7 @@ def symmetrized_monomial(i, j, k):
 
 def form_of(**components):
     """Build a CubicForm from named components (ints, strings or Fractions)."""
-    return CubicForm(**{name: parse_scalar(v) for name, v in components.items()})
+    return CubicForm(**components)
 
 
 def _canonical_columns(radius):

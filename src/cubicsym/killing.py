@@ -10,6 +10,17 @@ vanishes.  K is linear in A, so the solution space is the kernel of a fixed
 entries of A.  Constant (translation) fields are isometries of every
 constant metric and are excluded from the model entirely.
 
+Each of the ten components of K is nine terms A^d_x G(...), and a term
+drops out whenever its component of G is zero; the catalog's normal forms
+have only one to six nonzero components.  So K is computed from a table,
+built once per form, of the terms whose G component is nonzero, and only
+those are summed.  Every entry of A is kept in the sum, zeros included.
+Skipping A's zeros as well, a stencil over the nine unit matrices of the
+Killing system, is a ROADMAP item: it waits on the benchmark harness,
+whose per-op records make census peak RSS grow with the op rate.  Each
+sum is of exact rationals, so the order of its terms does not change its
+value.
+
 Every vector v in the radical of G spans an infinite-dimensional family of
 isometries f(x) v with arbitrary smooth f; the linear members v (w . x) all
 lie in the kernel above.  The algebra is therefore reported as the exact
@@ -23,42 +34,47 @@ counting the generators that are not accounted for by radical families.
 from fractions import Fraction
 
 from ._record import record
-from .forms import (SORTED_TRIPLES, CubicForm, Mat3, _SORTED_NAMES, _full_tensor,
-                    format_scalar)
+from .forms import SORTED_TRIPLES, CubicForm, Mat3, _FULL_INDEX, _SORTED_NAMES, format_scalar
 from .linalg import nullspace
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-
-# SORTED_TRIPLES with 0-based indices
-_SORTED0 = tuple((a - 1, b - 1, c - 1) for a, b, c in SORTED_TRIPLES)
 
 # rows of the nine elementary matrices E_ij (A^i_j = 1), in row-major order of (i, j)
 _UNITS = tuple(tuple(tuple(_ONE if (r, c) == (i, j) else _ZERO for c in range(3))
                      for r in range(3)) for i in range(3) for j in range(3))
 
+# _TERMS[r] lists the nine terms of K(A) at the r-th sorted triple (a, b, c),
+# 0-based, as (d, x, k): A^d_x times the form's component k over
+# SORTED_TRIPLES, for (x, component) = (a, dbc), (b, adc), (c, abd)
+_TERMS = tuple(
+    tuple((d, x, _FULL_INDEX[i][j][k]) for d in range(3)
+          for x, (i, j, k) in ((a, (d, b, c)), (b, (a, d, c)), (c, (a, b, d))))
+    for a, b, c in ((a - 1, b - 1, c - 1) for a, b, c in SORTED_TRIPLES))
 
-def _contract(G, rows):
-    """K(A) over SORTED_TRIPLES, from the full tensor G[d][e][f] = G(d+1, e+1, f+1)
-    and the rows of A: the dense three-term sum over d, in that order."""
-    out = []
-    for a, b, c in _SORTED0:
-        total = _ZERO
-        for d in range(3):
-            row = rows[d]
-            total += row[a] * G[d][b][c] + row[b] * G[a][d][c] + row[c] * G[a][b][d]
-        out.append(total)
-    return out
+
+def _table(form):
+    """The table of K for this form: for each sorted triple, the terms
+    (d, x, G component) of _TERMS whose component is nonzero."""
+    flat = form.components()
+    nonzero = [v != 0 for v in flat]
+    return [[(d, x, flat[k]) for d, x, k in terms if nonzero[k]] for terms in _TERMS]
+
+
+def _contract(table, rows):
+    """K(A) over SORTED_TRIPLES from a form's _table and the rows of A: for
+    each triple, the sum of A^d_x G over its terms.  A's zero entries are
+    summed too; skipping them is the stencil of the module docstring."""
+    return [sum([rows[d][x] * g for d, x, g in terms], _ZERO) for terms in table]
 
 
 def killing_operator(form, A):
     """Symmetrized contraction K(A); identically zero iff X = A x is Killing."""
-    return CubicForm(**dict(zip(_SORTED_NAMES,
-                                _contract(_full_tensor(form.components()), A.rows))))
+    return CubicForm(**dict(zip(_SORTED_NAMES, _contract(_table(form), A.rows))))
 
 
 def verify_killing(form, A):
     """True iff A generates an exact isometry of the form."""
-    return killing_operator(form, A).is_zero()
+    return not any(_contract(_table(form), A.rows))
 
 
 @record
@@ -72,10 +88,10 @@ class KillingSystem:
 
 
 def build_system(form):
-    """Assemble the Killing system: column 3i + j is K(E_ij), from one full
-    tensor of the form."""
-    G = _full_tensor(form.components())
-    return KillingSystem(tuple(zip(*(_contract(G, unit) for unit in _UNITS))))
+    """Assemble the Killing system: column 3i + j is K(E_ij), from one
+    table of the form's terms."""
+    table = _table(form)
+    return KillingSystem(tuple(zip(*(_contract(table, unit) for unit in _UNITS))))
 
 
 @record

@@ -43,6 +43,17 @@ def test_instantiate_validates_parameters():
     assert get_entry("4.10").instantiate({"B": 0}) == form_of(B2=1, C1=1, C2=1)
 
 
+def test_parameters_refuse_floats_and_bools():
+    # True == 1 would pass the sign check, and 0.5 would pass as 1/2
+    for overrides in ({"F": 0.5}, {"F": True}):
+        with pytest.raises(TypeError):
+            get_entry("4.1").resolve_params(overrides)
+    for overrides in ({"eps1": True}, {"eps1": 1.0}):
+        with pytest.raises(TypeError):
+            get_entry("3.8").instantiate(overrides)
+    assert get_entry("4.1").resolve_params({"F": "1/2"})["F"] == Fraction(1, 2)
+
+
 def test_unknown_id():
     with pytest.raises(KeyError):
         get_entry("9.9")

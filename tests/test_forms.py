@@ -420,6 +420,44 @@ def test_json_rejects_booleans():
         CubicForm.from_json({"F": True})
 
 
+# a float would be stored as its binary expansion, 0.1 as 3602879701896397/2^55,
+# and a bool as 0 or 1; the constructors refuse both, as parse_scalar does
+INEXACT = (0.1, 2.0, True, False)
+
+
+def test_cubic_form_refuses_floats_and_bools():
+    for bad in INEXACT:
+        with pytest.raises(TypeError):
+            CubicForm(F=bad)
+        with pytest.raises(TypeError):
+            form_of(A1=1, C3=bad)
+    assert CubicForm(F=Fraction(1, 10), A1=2, B1="3/4") == form_of(F="1/10", A1=2, B1="3/4")
+
+
+def test_cubic_form_scale_refuses_floats_and_bools():
+    g = form_of(A1=1, F=2)
+    for bad in INEXACT:
+        with pytest.raises(TypeError):
+            g.scale(bad)
+    assert g.scale("1/2") == g.scale(Fraction(1, 2)) == form_of(A1="1/2", F=1)
+
+
+def test_mat3_refuses_floats_and_bools():
+    for bad in INEXACT:
+        with pytest.raises(TypeError):
+            Mat3([[1, 0, 0], [0, bad, 0], [0, 0, 1]])
+        with pytest.raises(TypeError):
+            Mat3.diag(1, 1, bad)
+    assert Mat3.diag(1, "1/2", Fraction(3)) == Mat3([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 3]])
+
+
+def test_mat3_scale_refuses_floats_and_bools():
+    for bad in INEXACT:
+        with pytest.raises(TypeError):
+            Mat3.identity().scale(bad)
+    assert Mat3.identity().scale(-2) == Mat3.diag(-2, -2, -2)
+
+
 def test_scalar_grammar_does_not_depend_on_the_python_release():
     # Fraction alone accepts "1_000" from 3.11 and "1 / 2" from 3.12 on
     accepted = {"7": 7, " -3/4 ": Fraction(-3, 4), "+0.25": Fraction(1, 4), "2.": 2,

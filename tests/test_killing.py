@@ -25,10 +25,24 @@ def killing_oracle(form, A):
     return out
 
 
+def dense_form(rng):
+    """A random form pulled back by the inverse of a random invertible T: most
+    have all ten components nonzero, with denominators from det T, where
+    random_form draws at most five nonzero components."""
+    return random_form(rng).pullback(random_invertible(rng).inverse())
+
+
+def test_dense_forms_are_dense():
+    rng = random.Random(37)
+    forms = [dense_form(rng) for _ in range(40)]
+    assert sum(g.affine_type() == 10 for g in forms) >= 20
+    assert sum(any(v.denominator > 1 for v in g.components()) for g in forms) >= 20
+
+
 def test_killing_operator_matches_oracle_and_is_symmetric():
     rng = random.Random(41)
-    for _ in range(40):
-        g = random_form(rng)
+    for i in range(80):
+        g = random_form(rng) if i < 40 else dense_form(rng)
         A = random_matrix(rng)
         K = killing_operator(g, A)
         oracle = killing_oracle(g, A)
@@ -88,8 +102,8 @@ def test_build_system_stencil_entries():
     # column 3(i-1) + (j-1) is K of the unit matrix A^i_j = 1, whose (abc)
     # component keeps the d = i terms with a, b or c equal to j
     rng = random.Random(79)
-    for _ in range(200):
-        g = random_form(rng)
+    for i in range(260):
+        g = random_form(rng) if i < 200 else dense_form(rng)
         matrix = build_system(g).matrix
         for row, (a, b, c) in zip(matrix, SORTED_TRIPLES):
             for i, j in product((1, 2, 3), repeat=2):
