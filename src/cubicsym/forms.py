@@ -68,10 +68,10 @@ def parse_scalar(value):
     rather than left to Fraction, whose own grammar differs between Python
     releases; exponent notation ('1e5') is refused, as Fraction would expand
     it to an integer of any size before a check could run."""
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         text = value.strip()
         if _SCALAR.fullmatch(text) is None:
@@ -117,9 +117,7 @@ class Mat3:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        # ints, the entries of every integer frame, skip parse_scalar's checks
-        rows = tuple(tuple(Fraction(v) if v.__class__ is int else parse_scalar(v) for v in row)
-                     for row in rows)
+        rows = tuple(tuple(parse_scalar(v) for v in row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Mat3 needs a 3x3 array")
         object.__setattr__(self, "rows", rows)
@@ -242,8 +240,7 @@ class CubicForm:
                  C1=_ZERO, C2=_ZERO, C3=_ZERO, F=_ZERO):
         d = self.__dict__
         for name, value in zip(COMPONENT_NAMES, (A1, A2, A3, B1, B2, B3, C1, C2, C3, F)):
-            d[name] = (value if value.__class__ is Fraction
-                       else Fraction(value) if value.__class__ is int else parse_scalar(value))
+            d[name] = value if value.__class__ is Fraction else parse_scalar(value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
