@@ -110,17 +110,13 @@ class CatalogEntry:
         then the entry-specific boundary and alternative-class branches."""
         out = []
         signs = [p for p in self.params if p.kind == "sign"]
-        if signs:
-            for combo in product((1, -1), repeat=len(signs)):
-                overrides = {p.name: Fraction(v) for p, v in zip(signs, combo)}
-                params = self.resolve_params(overrides)
-                label = ",".join(f"{p.name}={'+1' if v == 1 else '-1'}"
-                                 for p, v in zip(signs, combo))
-                out.append(Branch(label or "default", params, self.claimed_dim,
-                                  self.expected_at(params), self.tau))
-        else:
-            params = self.resolve_params()
-            out.append(Branch("default", params, self.claimed_dim,
+        # with no sign parameter, product yields one empty combination: "default"
+        for combo in product((1, -1), repeat=len(signs)):
+            overrides = {p.name: Fraction(v) for p, v in zip(signs, combo)}
+            params = self.resolve_params(overrides)
+            label = ",".join(f"{p.name}={'+1' if v == 1 else '-1'}"
+                             for p, v in zip(signs, combo))
+            out.append(Branch(label or "default", params, self.claimed_dim,
                               self.expected_at(params), self.tau))
         for label, overrides, claim, tau_override in self.extra_branches:
             params = self.resolve_params(overrides)
@@ -820,26 +816,28 @@ def general_subclass(F):
 
 # ------------------------------------------------------------------ audit
 
-def _ledger(entry_id):
-    """(known, unknown, issue): issue(kind, text) files a finding as known
-    when (entry_id, kind) is in KNOWN_DISCREPANCIES, else as unknown."""
-    known, unknown = [], []
-
-    def issue(kind, text):
-        ledger = known if (entry_id, kind) in KNOWN_DISCREPANCIES else unknown
-        ledger.append(f"{kind}: {text}")
-    return known, unknown, issue
-
-
 class _Findings:
-    """Status shared by the report classes, read from their issue lists."""
+    """Issues and status of a report, derived from its findings: (kind, text)
+    pairs in filing order.  This is the one place that reads
+    KNOWN_DISCREPANCIES: a finding is known when (entry_id, kind) is listed."""
 
     __slots__ = ()
 
+    def _known(self, kind):
+        return (self.entry_id, kind) in KNOWN_DISCREPANCIES
+
+    @property
+    def known_issues(self):
+        return tuple(f"{kind}: {text}" for kind, text in self.findings if self._known(kind))
+
+    @property
+    def unknown_issues(self):
+        return tuple(f"{kind}: {text}" for kind, text in self.findings
+                     if not self._known(kind))
+
     @property
     def status(self):
-        return "MATCH" if not self.known_issues and not self.unknown_issues \
-            else "DISCREPANCY"
+        return "DISCREPANCY" if self.findings else "MATCH"
 
 
 @record
@@ -865,8 +863,7 @@ class BranchReport(_Findings):
     claim_ok: bool | None      # computed matches the recorded claim
     generator_checks: tuple
     series_ok: bool | None
-    known_issues: tuple
-    unknown_issues: tuple
+    findings: tuple            # (kind, text) pairs in filing order
 
     def to_json(self):
         return {
@@ -914,28 +911,29 @@ def verify_branch(entry, branch):
     form = entry.build(branch.params)
     report = classify(form)
     algebra = report.algebra
-    known, unknown, issue = _ledger(entry.id)
+    findings = []
 
     tau_ok = form.affine_type() == branch.tau
     if not tau_ok:
-        issue("tau", f"affine type {form.affine_type()} != {branch.tau}")
+        findings.append(("tau", f"affine type {form.affine_type()} != {branch.tau}"))
 
     expected = branch.expected
     computed_shape = (algebra.finite_nontrivial_dim, algebra.has_infinite_family)
-    oracle_ok = report.symmetry_class == expected and computed_shape == expected.shape
+    # the catch-all class 7 fixes no shape, so only its label is compared
+    shape = expected.shape
+    oracle_ok = report.symmetry_class == expected and shape in (None, computed_shape)
     if not oracle_ok:
-        finite, infinite = expected.shape
-        issue("oracle",
-              f"computed (dim={computed_shape[0]}, inf={computed_shape[1]}, "
-              f"class={report.label}) != "
-              f"expected (dim={finite}, inf={infinite}, class={expected.label})")
+        fixed = "" if shape is None else f"dim={shape[0]}, inf={shape[1]}, "
+        findings.append(("oracle", f"computed (dim={computed_shape[0]}, "
+                                   f"inf={computed_shape[1]}, class={report.label}) != "
+                                   f"expected ({fixed}class={expected.label})"))
 
     claim_ok = _claim_matches(branch.claim, algebra)
     if claim_ok is False:
-        issue("dimension",
-              f"recorded dimension claim {branch.claim!r} vs computed "
-              f"finite dim {algebra.finite_nontrivial_dim}"
-              + (" plus infinite family" if algebra.has_infinite_family else ""))
+        findings.append(("dimension",
+                         f"recorded dimension claim {branch.claim!r} vs computed "
+                         f"finite dim {algebra.finite_nontrivial_dim}"
+                         + (" plus infinite family" if algebra.has_infinite_family else "")))
 
     kernel_vectors = [g.flatten() for g in algebra.generators]
     recorded = [("field", i, G)
@@ -953,10 +951,11 @@ def verify_branch(entry, branch):
         if ok:
             verified.setdefault(source, G)
         elif source == "field":
-            issue("generator", f"recorded generator {i} fails the isometry check")
+            findings.append(("generator",
+                             f"recorded generator {i} fails the isometry check"))
         else:
-            issue("invariant-matrix",
-                  "recorded invariant matrix fails the isometry check")
+            findings.append(("invariant-matrix",
+                             "recorded invariant matrix fails the isometry check"))
 
     series_ok = None
     if entry.series is not None and not branch.boundary:
@@ -971,8 +970,8 @@ def verify_branch(entry, branch):
             series_ok = (list(series.I) == list(map(Fraction, expected_I))
                          and series.delta == expected_delta)
             if not series_ok:
-                issue("series", "computed invariant series differs from the "
-                                "recorded closed form")
+                findings.append(("series", "computed invariant series differs from the "
+                                           "recorded closed form"))
 
     return BranchReport(
         entry_id=entry.id, branch=branch.label, params=branch.params,
@@ -982,7 +981,7 @@ def verify_branch(entry, branch):
         claim=branch.claim, expected=expected,
         tau_ok=tau_ok, oracle_ok=oracle_ok, claim_ok=claim_ok,
         generator_checks=tuple(checks), series_ok=series_ok,
-        known_issues=tuple(known), unknown_issues=tuple(unknown),
+        findings=tuple(findings),
     )
 
 
@@ -999,8 +998,7 @@ class ProjectiveReport(_Findings):
     recorded_class: str
     expected_class: str
     computed_class: str
-    known_issues: tuple
-    unknown_issues: tuple
+    findings: tuple            # (kind, text) pairs in filing order
 
     def to_json(self):
         return {
@@ -1018,15 +1016,16 @@ def verify_projective(entry):
     out = []
     for sample in entry.samples:
         computed = classify(entry.build(sample.params)).label
-        known, unknown, issue = _ledger(entry.id)
+        findings = []
         if computed != sample.expected_class:
-            issue("class", f"computed {computed} != expected {sample.expected_class}")
+            findings.append(("class", f"computed {computed} != expected "
+                                      f"{sample.expected_class}"))
         if computed != sample.recorded_class:
-            issue("table", f"computed {computed} differs from the recorded "
-                           f"class {sample.recorded_class}")
+            findings.append(("table", f"computed {computed} differs from the "
+                                      f"recorded class {sample.recorded_class}"))
         out.append(ProjectiveReport(entry.id, sample.label,
                                     sample.recorded_class, sample.expected_class,
-                                    computed, tuple(known), tuple(unknown)))
+                                    computed, tuple(findings)))
     return out
 
 
@@ -1098,28 +1097,24 @@ def verify_all():
 def projective_table():
     """Computed correspondence between projective and symmetry classes.
 
-    Returns (rows, deviations): rows maps each symmetry class label to the
-    recorded and computed lists of projective classes; deviations lists the
-    documented recorded-vs-computed differences.
+    Read from the projective audit.  Returns (rows, deviations): rows maps
+    each symmetry class label to the recorded and computed lists of
+    projective classes; deviations are the audit's "table" findings.
     """
-    computed = {}
+    computed, deviations = {}, []
     for entry in PROJECTIVE_ENTRIES:
-        if entry.id == "general":
-            # the table rows the generic subclass; F=-1/2 is the noted exception
-            label = classify(entry.build({"F": Fraction(2)})).label
-        else:
-            label = classify(entry.build({})).label
-        computed.setdefault(label, []).append(entry.id)
+        for sample, report in zip(entry.samples, verify_projective(entry)):
+            # the table rows the general class by its generic sample F=2;
+            # F=-1/2 is the noted exception
+            if sample.params in ({}, {"F": 2}):
+                computed.setdefault(report.computed_class, []).append(entry.id)
+            if any(kind == "table" for kind, _ in report.findings):
+                deviations.append({"projective": entry.id,
+                                   "recorded": report.recorded_class,
+                                   "computed": report.computed_class,
+                                   "known": report._known("table")})
     rows = {label: {"recorded": list(recorded), "computed": computed.get(label, [])}
             for label, recorded in CORRESPONDENCE_TABLE.items()}
-    deviations = []
-    for label in rows:
-        rec, comp = set(rows[label]["recorded"]), set(rows[label]["computed"])
-        for pid in sorted(rec - comp):
-            actual = next(lb for lb in rows if pid in rows[lb]["computed"])
-            deviations.append({"projective": pid, "recorded": label,
-                               "computed": actual,
-                               "known": (pid, "table") in KNOWN_DISCREPANCIES})
     return rows, deviations
 
 

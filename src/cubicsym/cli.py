@@ -131,9 +131,9 @@ def cmd_classify(args):
             print(f"invariants I1..I6:       [{', '.join(p['invariants']['I'])}]")
             print(f"determinant:             {p['invariants']['Delta']}")
         if p["structure_constants"] is not None:
+            # classify labels a 2-dimensional algebra 1 when abelian, 2 when not
             print("2-dimensional algebra:   "
-                  + ("abelian" if all(v == "0" for layer in p["structure_constants"]
-                                      for row in layer for v in row) else "nonabelian"))
+                  + ("abelian" if p["class"] == "1" else "nonabelian"))
         for note in p["notes"]:
             print(f"note: {note}")
 
@@ -224,7 +224,7 @@ def cmd_catalog_list(args):
 
 
 def cmd_catalog_verify(args):
-    if args.id:
+    if args.id is not None:
         if args.all:
             raise InputError("--all and --id exclude each other: --id audits one entry")
         try:

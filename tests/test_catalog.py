@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from cubicsym import catalog, form_of, invariants, solve, verify_killing
+from cubicsym import SymmetryClass, catalog, form_of, invariants, solve, \
+    verify_killing
 from cubicsym.catalog import ENTRIES, KNOWN_DISCREPANCIES, Branch, \
     ParameterRangeError, export_catalog, general_subclass, get_entry, \
     projective_table, verify_all, verify_branch, verify_entry
@@ -122,14 +123,9 @@ def test_full_audit_is_clean():
 def test_known_discrepancy_ledger_is_minimal():
     # every recorded known discrepancy actually occurs in the audit
     audit = verify_all()
-    seen = set()
-    for r in audit.branch_reports:
-        for issue in r.known_issues:
-            kind = issue.split(":")[0]
-            seen.add((r.entry_id, kind))
-    for r in audit.projective_reports:
-        if r.known_issues:
-            seen.add((r.entry_id, "table"))
+    seen = {(r.entry_id, kind)
+            for r in audit.branch_reports + audit.projective_reports
+            for kind, _ in r.findings}
     assert seen == set(KNOWN_DISCREPANCIES)
 
 
@@ -152,6 +148,19 @@ def test_projective_table_rows():
     assert rows["8"]["computed"] == ["general", "I", "IX"]
     assert all(d["known"] for d in deviations)
     assert {d["projective"] for d in deviations} == {"X", "XI"}
+
+
+def test_projective_table_deviations_are_the_audit_table_findings():
+    # each deviation is a "table" finding of the projective audit, and each
+    # such finding is a deviation, with the same classes and known flag
+    _, deviations = projective_table()
+    findings = [{"projective": r.entry_id, "recorded": r.recorded_class,
+                 "computed": r.computed_class,
+                 "known": any(i.startswith("table: ") for i in r.known_issues)}
+                for r in verify_all().projective_reports
+                for kind, _ in r.findings if kind == "table"]
+    assert deviations == findings
+    assert len(findings) == 2
 
 
 def test_general_subclass_predicates():
@@ -239,3 +248,16 @@ def test_audit_files_each_finding_kind_as_unknown(monkeypatch):
     [report] = catalog.verify_projective(three)
     assert report.computed_class == "1" and report.known_issues == ()
     assert report.unknown_issues == ("class: computed 1 != expected 8",)
+
+
+def test_audit_expecting_the_catch_all_class_files_an_oracle_finding():
+    # class 7 fixes no shape, so only the labels are compared
+    entry = get_entry("1.1")
+    params = entry.resolve_params()
+    seven = Branch("seven", params, "2", SymmetryClass("7"), 1)
+    report = verify_branch(entry, seven)
+    assert not report.oracle_ok and report.status == "DISCREPANCY"
+    assert report.findings == (
+        ("oracle", "computed (dim=2, inf=False, class=1) != expected (class=7)"),)
+    assert report.unknown_issues == (
+        "oracle: computed (dim=2, inf=False, class=1) != expected (class=7)",)

@@ -35,7 +35,16 @@ def test_classify_plain(files, capsys):
     code, out, _ = run(capsys, "classify", "--form", bm)
     assert code == 0
     assert "symmetry class:          1" in out
-    assert "abelian" in out
+    assert "2-dimensional algebra:   abelian\n" in out
+
+
+def test_classify_plain_nonabelian(files, capsys):
+    # catalog entry 2.6, B1=B3=1: class 2, a 2-dimensional nonabelian algebra
+    path = files("g.json", {"B1": 1, "B3": 1})
+    code, out, _ = run(capsys, "classify", "--form", path)
+    assert code == 0
+    assert "symmetry class:          2" in out
+    assert "2-dimensional algebra:   nonabelian\n" in out
 
 
 def test_classify_json(files, capsys):
@@ -300,6 +309,14 @@ def test_catalog_verify_single(capsys):
     code, _, err = run(capsys, "catalog-verify", "--id", "7.7")
     assert code == 1
     assert "unknown catalog id" in err
+
+
+def test_catalog_verify_empty_id_is_an_input_error(capsys):
+    # an empty --id names no entry; it does not fall back to the full audit
+    code, out, err = run(capsys, "catalog-verify", "--id", "")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown catalog id ''\n"
 
 
 def test_catalog_verify_all_with_id_is_an_input_error(capsys):
