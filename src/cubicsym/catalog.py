@@ -940,13 +940,14 @@ def verify_branch(entry, branch):
                 for i, G in enumerate(entry.generators(branch.params))]
     if entry.inv_matrix is not None:
         recorded.append(("invariant-matrix", 0, entry.inv_matrix(branch.params)))
-    checks, verified, outcomes = [], {}, {}
+    checks, verified, outcomes = [], {}, []
     for source, i, G in recorded:
-        # an invariant matrix equal to a field is checked once, for the field
-        if G not in outcomes:
+        # an invariant matrix equal to a field is checked once, for the field;
+        # matrices are compared, not hashed: a Mat3 hash is nine Fraction hashes
+        if not any(H == G for H, _ in outcomes):
             ok = verify_killing(form, G)
-            outcomes[G] = ok, ok and in_span(kernel_vectors, G.flatten())
-        ok, in_kernel = outcomes[G]
+            outcomes.append((G, (ok, ok and in_span(kernel_vectors, G.flatten()))))
+        ok, in_kernel = next(o for H, o in outcomes if H == G)
         checks.append(GeneratorCheck(source, i, ok, in_kernel))
         if ok:
             verified.setdefault(source, G)

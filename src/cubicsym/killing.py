@@ -19,7 +19,8 @@ Skipping A's zeros as well, a stencil over the nine unit matrices of the
 Killing system, is a ROADMAP item: it waits on the benchmark harness,
 whose per-op records make census peak RSS grow with the op rate.  Each
 sum is of exact rationals, so the order of its terms does not change its
-value.
+value.  killing_operator and verify_killing sum over ints: K is bilinear,
+so K(A) = K_M(N) / (m d) for the integer images G = M/m and A = N/d.
 
 Every vector v in the radical of G spans an infinite-dimensional family of
 isometries f(x) v with arbitrary smooth f; the linear members v (w . x) all
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 from ._record import record
 from .forms import SORTED_TRIPLES, CubicForm, Mat3, _FULL_INDEX, _SORTED_NAMES, format_scalar
-from .linalg import nullspace
+from .linalg import nullspace, scale_to_integers
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -52,29 +53,37 @@ _TERMS = tuple(
     for a, b, c in ((a - 1, b - 1, c - 1) for a, b, c in SORTED_TRIPLES))
 
 
-def _table(form):
-    """The table of K for this form: for each sorted triple, the terms
-    (d, x, G component) of _TERMS whose component is nonzero."""
-    flat = form.components()
+def _table(flat):
+    """The table of K for a form's component vector over SORTED_TRIPLES: for
+    each sorted triple, the terms (d, x, G component) of _TERMS whose
+    component is nonzero."""
     nonzero = [v != 0 for v in flat]
     return [[(d, x, flat[k]) for d, x, k in terms if nonzero[k]] for terms in _TERMS]
 
 
-def _contract(table, rows):
+def _contract(table, rows, zero=_ZERO):
     """K(A) over SORTED_TRIPLES from a form's _table and the rows of A: for
-    each triple, the sum of A^d_x G over its terms.  A's zero entries are
+    each triple, zero plus the sum of A^d_x G over its terms.  A's zeros are
     summed too; skipping them is the stencil of the module docstring."""
-    return [sum([rows[d][x] * g for d, x, g in terms], _ZERO) for terms in table]
+    return [sum([rows[d][x] * g for d, x, g in terms], zero) for terms in table]
+
+
+def _int_contract(form, A):
+    """(K_M(N), m d) for the integer images G = M/m and A = N/d."""
+    flat, m = scale_to_integers(form.components())
+    a, d = scale_to_integers(A.flatten())
+    return _contract(_table(flat), (a[0:3], a[3:6], a[6:9]), 0), m * d
 
 
 def killing_operator(form, A):
     """Symmetrized contraction K(A); identically zero iff X = A x is Killing."""
-    return CubicForm(**dict(zip(_SORTED_NAMES, _contract(_table(form), A.rows))))
+    K, md = _int_contract(form, A)
+    return CubicForm(**{name: Fraction(k, md) for name, k in zip(_SORTED_NAMES, K)})
 
 
 def verify_killing(form, A):
     """True iff A generates an exact isometry of the form."""
-    return not any(_contract(_table(form), A.rows))
+    return not any(_int_contract(form, A)[0])
 
 
 @record
@@ -90,7 +99,7 @@ class KillingSystem:
 def build_system(form):
     """Assemble the Killing system: column 3i + j is K(E_ij), from one
     table of the form's terms."""
-    table = _table(form)
+    table = _table(form.components())
     return KillingSystem(tuple(zip(*(_contract(table, unit) for unit in _UNITS))))
 
 

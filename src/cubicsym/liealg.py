@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import isqrt
 
 from ._record import record
-from .forms import Mat3, format_scalar
+from .forms import Mat3, _det, format_scalar
 from .linalg import coordinates_in_span, echelon_basis, rref, scale_to_integers
 
 
@@ -23,8 +23,14 @@ class NotClosedError(ValueError):
 
 
 def bracket(A, B):
-    """Matrix of the vector-field commutator [A x, B x]."""
-    return (B @ A) - (A @ B)
+    """Matrix of the vector-field commutator [A x, B x]: with A = N/d and
+    B = P/e for integer N and P, (P N - N P) / (d e), one Fraction per entry."""
+    a, d = scale_to_integers(A.flatten())
+    b, e = scale_to_integers(B.flatten())
+    de = d * e
+    entries = [sum(b[i + k] * a[3 * k + j] - a[i + k] * b[3 * k + j] for k in range(3))
+               for i in (0, 3, 6) for j in range(3)]
+    return Mat3.from_flat([Fraction(x, de) for x in entries])
 
 
 @record
@@ -44,25 +50,32 @@ class StructureConstants:
         return [[[format_scalar(v) for v in row] for row in layer] for layer in self.c]
 
 
-def structure_constants(basis):
-    """Exact structure constants over the given, necessarily closed, basis.
+def _reduced_brackets(basis):
+    """(pairs, brackets, red): the index pairs i < j, the flattened brackets
+    of those pairs and the reduced echelon form of [basis | brackets].
 
-    One reduction of the 9 x (n + n(n-1)/2) matrix [basis | all brackets]
-    decides everything: the basis is independent iff each of its n columns
-    gets a pivot, the first bracket column that gets a pivot is the first
-    bracket outside the span, and otherwise each bracket column holds its
-    coordinates over the basis.
+    That one reduction of the 9 x (n + n(n-1)/2) matrix decides everything:
+    the basis is independent iff each of its n columns gets a pivot, the
+    first bracket column that gets a pivot is the first bracket outside the
+    span, and otherwise each bracket column holds its coordinates over the
+    basis.
     """
     n = len(basis)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    columns = [m.flatten() for m in basis]
-    columns += [bracket(basis[i], basis[j]).flatten() for i, j in pairs]
-    red, pivots = rref(list(zip(*columns)))
+    brackets = [bracket(basis[i], basis[j]).flatten() for i, j in pairs]
+    red, pivots = rref(list(zip(*[m.flatten() for m in basis], *brackets)))
     if pivots[:n] != list(range(n)):
         raise DependentBasisError("generators are linearly dependent")
     if len(pivots) > n:
         i, j = pairs[pivots[n] - n]
         raise NotClosedError(f"bracket of generators {i} and {j} is outside the span")
+    return pairs, brackets, red
+
+
+def structure_constants(basis):
+    """Exact structure constants over the given, necessarily closed, basis."""
+    n = len(basis)
+    pairs, _, red = _reduced_brackets(basis)
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for col, (i, j) in enumerate(pairs, start=n):
         for k in range(n):
@@ -79,10 +92,8 @@ def is_abelian(basis):
 
 def derived_algebra(basis):
     """Canonical echelon basis of the span of all pairwise brackets."""
-    structure_constants(basis)  # raises on a dependent or non-closed basis
-    products = [bracket(basis[i], basis[j]).flatten()
-                for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    return [Mat3.from_flat(vec) for vec in echelon_basis(products)]
+    _, brackets, _ = _reduced_brackets(basis)  # raises on a dependent or non-closed basis
+    return [Mat3.from_flat(vec) for vec in echelon_basis(brackets)]
 
 
 @record
@@ -113,8 +124,9 @@ class InvariantSeries:
 def invariants(A):
     """Exact invariant series of a field matrix.
 
-    With A = M/d for an integer matrix M, I_k = Tr(M^k)/d^k: the powers are
-    integer products and each trace makes one Fraction.
+    With A = M/d for an integer matrix M, I_k = Tr(M^k)/d^k and
+    Delta = det(M)/d^3: the powers and the determinant are integer products
+    and each invariant makes one Fraction.
     """
     flat, d = scale_to_integers(A.flatten())
     M = [flat[0:3], flat[3:6], flat[6:9]]
@@ -126,7 +138,7 @@ def invariants(A):
         if k < 6:
             power = [[sum(x * y for x, y in zip(row, col)) for col in cols]
                      for row in power]
-    return InvariantSeries(I=tuple(traces), delta=A.det())
+    return InvariantSeries(I=tuple(traces), delta=Fraction(_det(M), d ** 3))
 
 
 def _nth_root(x, n):

@@ -166,6 +166,38 @@ def test_verify_killing_catalog_fields():
     assert verify_killing(g, Mat3([[0, 0, 0], [0, 1, 0], [0, -1, -1]]))
 
 
+def rational_matrix(rng):
+    return Mat3([[Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(3)]
+                 for _ in range(3)])
+
+
+def test_integer_images_match_fraction_contraction():
+    # verify_killing and killing_operator contract the integer images of G
+    # and A; the oracle contracts the Fractions themselves.  Each form meets
+    # a rational combination of its generators (Killing, with denominators),
+    # that combination plus a small rational entry, and a random rational A.
+    rng = random.Random(89)
+    dense = 0
+    outcomes = {True: 0, False: 0}
+    for n in range(200):
+        g = random_form(rng) if n < 120 else dense_form(rng)
+        dense += n >= 120 and is_dense(g)
+        A = Mat3.zero()
+        for G in solve(g).generators:
+            A = A + G.scale(Fraction(rng.randint(-5, 5), rng.randint(1, 9)))
+        bump = [[0] * 3 for _ in range(3)]
+        bump[rng.randrange(3)][rng.randrange(3)] = Fraction(1, rng.randint(2, 9))
+        for B in (A, A + Mat3(bump), rational_matrix(rng)):
+            oracle = killing_oracle(g, B)
+            killing = not any(oracle.values())
+            assert verify_killing(g, B) == killing, (g, B)
+            K = killing_operator(g, B)
+            assert all(K.component(*idx) == value for idx, value in oracle.items())
+            outcomes[killing] += any(v.denominator > 1 for v in B.flatten())
+    assert dense >= 30
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def _independent_rank(rows):
     # dense elimination with largest-pivot selection: a different pivoting
     # strategy and code path than the library's reduced echelon routine

@@ -9,8 +9,14 @@ from cubicsym import Mat3, bracket, colinearity, derived_algebra, form_of, \
     invariants, is_abelian, solvable_pair, solve, structure_constants
 from cubicsym.liealg import DependentBasisError, NotClosedError, StructureConstants, \
     _nth_root
-from cubicsym.linalg import coordinates_in_span, rank
+from cubicsym.catalog import ENTRIES
+from cubicsym.linalg import coordinates_in_span, echelon_basis, rank
 from cubicsym.properties import random_form, random_matrix
+
+
+def rational_matrix(rng):
+    return Mat3([[Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(3)]
+                 for _ in range(3)])
 
 
 def test_bracket_examples():
@@ -19,6 +25,43 @@ def test_bracket_examples():
     for _ in range(20):
         A = random_matrix(rng)
         assert bracket(A, A).is_zero()
+
+
+def test_bracket_and_delta_match_fraction_products():
+    # bracket and invariants multiply integer images; the oracles multiply
+    # the Fractions with Mat3's own product and determinant
+    rng = random.Random(131)
+    for n in range(200):
+        A = rational_matrix(rng) if n % 4 else random_matrix(rng)
+        B = rational_matrix(rng)
+        assert bracket(A, B) == (B @ A) - (A @ B)
+        assert invariants(A).delta == A.det()
+
+
+def test_derived_algebra_and_solvable_pair_on_catalog_algebras():
+    # derived_algebra reuses the brackets of its closure check; the reference
+    # echelonizes freshly computed brackets
+    kinds = {"1": 0, "2": 0}
+    for entry in ENTRIES:
+        for branch in entry.branches():
+            algebra = solve(entry.build(branch.params))
+            if algebra.radical_basis or algebra.kernel_dim != 2:
+                continue
+            basis = list(algebra.generators)
+            expected = [Mat3.from_flat(v)
+                        for v in echelon_basis([bracket(basis[0], basis[1]).flatten()])]
+            assert derived_algebra(basis) == expected
+            if not expected:
+                kinds["1"] += 1
+                with pytest.raises(ValueError, match="not 2-dimensional nonabelian"):
+                    solvable_pair(basis)
+                continue
+            kinds["2"] += 1
+            X1, X2 = solvable_pair(basis)
+            assert X2 == expected[0]
+            assert bracket(X1, X2) == X2.scale(Fraction(3, 2))
+            assert rank([X1.flatten(), basis[0].flatten(), basis[1].flatten()]) == 2
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_bracket_sign_convention():
@@ -96,11 +139,6 @@ def _outcome(f, basis):
 
 def test_structure_constants_match_oracle():
     rng = random.Random(113)
-
-    def rational_matrix():
-        return Mat3([[Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(3)]
-                     for _ in range(3)])
-
     # closed: computed algebras and their subalgebras, rational multiples included
     bases = []
     for _ in range(120):
@@ -112,12 +150,12 @@ def test_structure_constants_match_oracle():
     bases += [[], [Mat3.diag(1, 2, 3)], [Mat3.diag(1, -1, 0), Mat3.diag(1, 0, -1)]]
     # dependent: a repeated or rescaled member, placed anywhere
     for _ in range(60):
-        basis = [rational_matrix() for _ in range(rng.randint(1, 3))]
+        basis = [rational_matrix(rng) for _ in range(rng.randint(1, 3))]
         k = rng.randrange(len(basis) + 1)
         basis.insert(k, basis[rng.randrange(len(basis))].scale(rng.randint(-3, 3)))
         bases.append(basis)
     # non-closed: random matrices, whose brackets leave the span
-    bases += [[rational_matrix() for _ in range(rng.randint(2, 4))] for _ in range(60)]
+    bases += [[rational_matrix(rng) for _ in range(rng.randint(2, 4))] for _ in range(60)]
     kinds = {}
     for basis in bases:
         expected = _outcome(structure_constants_oracle, basis)
