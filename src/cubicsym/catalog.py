@@ -13,7 +13,9 @@ tau is the prefix of its id, the expected dimensions of a branch follow from
 its class (SymmetryClass.shape), a projective class sampled once is recorded
 under its row of CORRESPONDENCE_TABLE, and the invariant matrix the series is
 taken from is the first generator field unless the entry records one that
-differs from it.
+differs from it.  This module is the only statement of the catalog: no data
+file restates it, and the tests pin the SHA-256 of its plain-data image, so
+changing a recorded fact means re-pinning that digest.
 
 verify_entry / verify_all recompute everything from scratch with the exact
 solver and report every disagreement between recorded and computed values.
@@ -786,34 +788,6 @@ KNOWN_DISCREPANCIES = {
 }
 
 
-def general_subclass(F):
-    """Subclass of the general projective class for an exact rational F.
-
-    The two irrational boundaries are the roots of (2F+1)^2 = 3; exact sign
-    predicates on that quantity decide interval membership, so no irrational
-    arithmetic is needed.  No rational F is a root, so the sign is never 0.
-    """
-    F = Fraction(F)
-    d = (2 * F + 1) ** 2 - 3
-    if F == Fraction(-1, 2):
-        return "F=-1/2 (degenerate: factors through a plane and a quadric)"
-    if F < Fraction(-1, 2):
-        if d > 0:
-            return "F < -(sqrt(3)+1)/2"
-        return "-(sqrt(3)+1)/2 < F < -1/2"
-    if F < 0:
-        return "-1/2 < F < 0"
-    if F == 0:
-        return "F = 0"
-    if F < 1:
-        if d < 0:
-            return "0 < F < (sqrt(3)-1)/2"
-        return "(sqrt(3)-1)/2 < F < 1"
-    if F == 1:
-        return "F = 1"
-    return "F > 1"
-
-
 # ------------------------------------------------------------------ audit
 
 class _Findings:
@@ -1118,60 +1092,3 @@ def projective_table():
             for label, recorded in CORRESPONDENCE_TABLE.items()}
     return rows, deviations
 
-
-def export_catalog():
-    """Plain-data image of the catalog (the shipped JSON data file)."""
-    affine = []
-    for entry in ENTRIES:
-        branches = []
-        for b in entry.branches():
-            form = entry.build(b.params)
-            finite, infinite = b.expected.shape
-            branches.append({
-                "label": b.label,
-                "params": {k: scalar_to_json(v) for k, v in b.params.items()},
-                "form": form.to_json(),
-                "affine_type": b.tau,
-                "claim": b.claim,
-                "expected": {
-                    "finite_nontrivial_dim": finite,
-                    "has_infinite_family": infinite,
-                    "class": b.expected.label,
-                },
-                "boundary": b.boundary,
-            })
-        affine.append({
-            "id": entry.id,
-            "tau": entry.tau,
-            "params": [{"name": p.name, "kind": p.kind,
-                        "default": scalar_to_json(p.default),
-                        "allow_zero": p.allow_zero} for p in entry.params],
-            "claimed_dim": entry.claimed_dim,
-            "series": entry.series_tag,
-            "generators": [g.to_json() for g in entry.generators(entry.defaults())],
-            "invariant_matrix": None if entry.inv_matrix is None
-            else entry.inv_matrix(entry.defaults()).to_json(),
-            "notes": list(entry.notes),
-            "branches": branches,
-        })
-    projective = []
-    for entry in PROJECTIVE_ENTRIES:
-        samples = []
-        for s in entry.samples:
-            samples.append({
-                "label": s.label,
-                "params": {k: scalar_to_json(v) for k, v in s.params.items()},
-                "form": entry.build(s.params).to_json(),
-                "recorded_class": s.recorded_class,
-                "expected_class": s.expected_class,
-            })
-        projective.append({"id": entry.id, "components": entry.description,
-                           "notes": list(entry.notes), "samples": samples})
-    return {
-        "affine": affine,
-        "projective": projective,
-        "correspondence_table": {k: list(v) for k, v in CORRESPONDENCE_TABLE.items()},
-        "known_discrepancies": [
-            {"id": key[0], "kind": key[1], "detail": detail}
-            for key, detail in sorted(KNOWN_DISCREPANCIES.items())],
-    }

@@ -18,13 +18,15 @@ integer, "p/q" or decimal ("0.5") values in ASCII digits, with no exponent;
 missing keys are zero.  Transforms are 3x3 arrays of entries of the same
 kinds.  All output rationals are in lowest terms.
 
-Exit codes: 0 success; 1 input error, or a result with an integer longer
-than the interpreter prints (4,300 digits by default); 2 catalog-verify found
-a discrepancy outside the known list (regression signal).
+Exit codes: 0 success; 1 input error, a result with an integer longer than
+the interpreter prints (4,300 digits by default), or an output pipe closed by
+its reader (as by `| head -1`); 2 catalog-verify found a discrepancy outside
+the known list (regression signal).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog
@@ -374,9 +376,17 @@ def main(argv=None):
         # regressions, so usage problems are reported as input errors
         return 1 if exc.code else 0
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        # a closed pipe surfaces here, not at the interpreter's final flush
+        sys.stdout.flush()
+        return status
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; point fd 1 at devnull so that the final
+        # flush of what is still buffered does not report the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -1,19 +1,80 @@
-"""Catalog integrity: instantiation, per-entry audits, shipped data file."""
+"""Catalog integrity: instantiation, per-entry audits, the pinned image."""
 
+import hashlib
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from cubicsym import SymmetryClass, catalog, form_of, invariants, solve, \
-    verify_killing
-from cubicsym.catalog import ENTRIES, KNOWN_DISCREPANCIES, Branch, \
-    ParameterRangeError, export_catalog, general_subclass, get_entry, \
-    projective_table, verify_all, verify_branch, verify_entry
+from cubicsym import CubicForm, SymmetryClass, catalog, form_of, invariants, \
+    solve, verify_killing
+from cubicsym.catalog import CORRESPONDENCE_TABLE, ENTRIES, \
+    KNOWN_DISCREPANCIES, PROJECTIVE_ENTRIES, Branch, ParameterRangeError, \
+    get_entry, projective_table, verify_all, verify_branch, verify_entry
+from cubicsym.forms import scalar_to_json
 
-DATA_FILE = Path(__file__).resolve().parent.parent / "src" / "cubicsym" / \
-    "data" / "catalog.json"
+# SHA-256 of json.dumps(export_catalog(), indent=1, sort_keys=True) + "\n".
+# Any change to a recorded catalog fact changes it; re-pin it on purpose.
+CATALOG_IMAGE_SHA256 = \
+    "8e033a61ff4fa91cd4337e34efadd05be2dd621d02b1046900e5cca0e6f49e15"
+
+
+def export_catalog():
+    """Plain-data image of the catalog: the image whose digest the tests pin."""
+    affine = []
+    for entry in ENTRIES:
+        branches = []
+        for b in entry.branches():
+            form = entry.build(b.params)
+            finite, infinite = b.expected.shape
+            branches.append({
+                "label": b.label,
+                "params": {k: scalar_to_json(v) for k, v in b.params.items()},
+                "form": form.to_json(),
+                "affine_type": b.tau,
+                "claim": b.claim,
+                "expected": {
+                    "finite_nontrivial_dim": finite,
+                    "has_infinite_family": infinite,
+                    "class": b.expected.label,
+                },
+                "boundary": b.boundary,
+            })
+        affine.append({
+            "id": entry.id,
+            "tau": entry.tau,
+            "params": [{"name": p.name, "kind": p.kind,
+                        "default": scalar_to_json(p.default),
+                        "allow_zero": p.allow_zero} for p in entry.params],
+            "claimed_dim": entry.claimed_dim,
+            "series": entry.series_tag,
+            "generators": [g.to_json() for g in entry.generators(entry.defaults())],
+            "invariant_matrix": None if entry.inv_matrix is None
+            else entry.inv_matrix(entry.defaults()).to_json(),
+            "notes": list(entry.notes),
+            "branches": branches,
+        })
+    projective = []
+    for entry in PROJECTIVE_ENTRIES:
+        samples = []
+        for s in entry.samples:
+            samples.append({
+                "label": s.label,
+                "params": {k: scalar_to_json(v) for k, v in s.params.items()},
+                "form": entry.build(s.params).to_json(),
+                "recorded_class": s.recorded_class,
+                "expected_class": s.expected_class,
+            })
+        projective.append({"id": entry.id, "components": entry.description,
+                           "notes": list(entry.notes), "samples": samples})
+    return {
+        "affine": affine,
+        "projective": projective,
+        "correspondence_table": {k: list(v) for k, v in CORRESPONDENCE_TABLE.items()},
+        "known_discrepancies": [
+            {"id": key[0], "kind": key[1], "detail": detail}
+            for key, detail in sorted(KNOWN_DISCREPANCIES.items())],
+    }
 
 
 def test_catalog_has_41_affine_entries():
@@ -163,34 +224,18 @@ def test_projective_table_deviations_are_the_audit_table_findings():
     assert len(findings) == 2
 
 
-def test_general_subclass_predicates():
-    assert general_subclass(-2) == "F < -(sqrt(3)+1)/2"
-    assert general_subclass(-1) == "-(sqrt(3)+1)/2 < F < -1/2"
-    assert general_subclass(Fraction(-1, 4)) == "-1/2 < F < 0"
-    assert general_subclass(0) == "F = 0"
-    assert general_subclass(Fraction(1, 4)) == "0 < F < (sqrt(3)-1)/2"
-    assert general_subclass(Fraction(1, 2)) == "(sqrt(3)-1)/2 < F < 1"
-    assert general_subclass(1) == "F = 1"
-    assert general_subclass(3) == "F > 1"
-    assert "degenerate" in general_subclass(Fraction(-1, 2))
+def test_catalog_image_is_pinned():
+    text = json.dumps(export_catalog(), indent=1, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_IMAGE_SHA256
 
 
-def test_exported_data_file_is_current():
-    with open(DATA_FILE) as fh:
-        shipped = json.load(fh)
-    assert shipped == export_catalog()
-
-
-def test_data_file_forms_reparse():
-    from cubicsym import CubicForm
-    with open(DATA_FILE) as fh:
-        shipped = json.load(fh)
-    n = 0
-    for entry in shipped["affine"]:
-        for branch in entry["branches"]:
-            CubicForm.from_json(branch["form"])
-            n += 1
-    assert n >= 41
+def test_catalog_image_forms_reparse():
+    image = export_catalog()
+    forms = [b["form"] for e in image["affine"] for b in e["branches"]]
+    samples = [s["form"] for e in image["projective"] for s in e["samples"]]
+    assert (len(forms), len(samples)) == (77, 22)
+    for data in forms + samples:
+        assert CubicForm.from_json(data).to_json() == data
 
 
 def test_boundary_branches_have_expected_classes():

@@ -295,6 +295,19 @@ def test_catalog_list_plain(capsys):
         ["3.12", "3", "1", "1"]
 
 
+def test_closed_output_pipe_exits_1_without_a_traceback():
+    # the reader is gone before the child, still importing, writes a line
+    src = str(Path(cubicsym.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "cubicsym.cli", "catalog-list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_catalog_verify_all(capsys):
     code, out, _ = run(capsys, "catalog-verify", "--all", "--json")
     payload = json.loads(out)
