@@ -22,7 +22,8 @@ solver and report every disagreement between recorded and computed values.
 A small number of recorded values are known to be wrong (they conflict with
 the exactly computed algebra); these are listed in KNOWN_DISCREPANCIES and
 an audit that finds exactly those is considered clean.  Any discrepancy
-outside that list is a regression signal.
+outside that list is a regression signal.  Each known discrepancy is
+explained once, by its KNOWN_DISCREPANCIES text; the entries carry no notes.
 """
 
 from fractions import Fraction
@@ -71,7 +72,6 @@ class CatalogEntry:
     series_tag: str | None = None
     inv_matrix: object = None  # params -> Mat3; defaults to the first field
     extra_branches: tuple = () # (label, overrides, claim, tau_override)
-    notes: tuple = ()
 
     @property
     def tau(self):
@@ -134,10 +134,6 @@ def sign(name):
 
 def rational(name, default, allow_zero=False):
     return ParamSpec(name, "rational", Fraction(default), allow_zero)
-
-
-def mat(rows):
-    return Mat3(rows)
 
 
 def _pow_series(base):
@@ -217,8 +213,8 @@ _entry(
 _entry(
     id="2.2", params=(),
     build=lambda p: form_of(B1=1, F=1),
-    generators=lambda p: [mat([[1, 0, 0], [0, 0, 0], [0, -HALF, -1]]),
-                          mat([[0, 0, 0], [0, 1, 0], [0, -1, -1]])],
+    generators=lambda p: [Mat3([[1, 0, 0], [0, 0, 0], [0, -HALF, -1]]),
+                          Mat3([[0, 0, 0], [0, 1, 0], [0, -1, -1]])],
     claimed_dim="2",
     expected="1",
 )
@@ -235,13 +231,10 @@ _entry(
 _entry(
     id="2.4", params=(),
     build=lambda p: form_of(A1=1, C1=1),
-    generators=lambda p: [mat([[1, 0, 0], [-1, -2, 0], [0, 0, 0]])],
+    generators=lambda p: [Mat3([[1, 0, 0], [-1, -2, 0], [0, 0, 0]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
     expected="3(3)",
-    notes=("the metric does not involve the third coordinate, so arbitrary "
-           "functions times its coordinate field are isometries: the computed "
-           "algebra is infinite plus the recorded 1-dimensional part",),
 )
 
 _entry(
@@ -250,25 +243,21 @@ _entry(
     generators=lambda p: [Mat3.diag(1, -HALF, -HALF)],
     claimed_dim="1",
     expected="1",
-    notes=("recorded dimension 1 conflicts with the computed 2-dimensional "
-           "abelian algebra; the extra generator rotates the degenerate plane",),
 )
 
 _entry(
     id="2.6", params=(),
     build=lambda p: form_of(B1=1, B3=1),
     generators=lambda p: [Mat3.diag(-2, 1, -HALF),
-                          mat([[0, 0, 1], [0, 0, 0], [0, -HALF, 0]])],
+                          Mat3([[0, 0, 1], [0, 0, 0], [0, -HALF, 0]])],
     claimed_dim="1",
     expected="2",
-    notes=("recorded dimension 1 conflicts with the two recorded generators "
-           "and the computed 2-dimensional nonabelian algebra",),
 )
 
 _entry(
     id="2.7", params=(),
     build=lambda p: form_of(B1=1, C3=1),
-    generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-2, 0, -2]])],
+    generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [-2, 0, -2]])],
     claimed_dim="inf+1",
     expected="3(3)",
 )
@@ -294,7 +283,7 @@ _entry(
 _entry(
     id="3.1", params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"], F=1),
-    generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [0, -p["eps"], -1]])],
+    generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [0, -p["eps"], -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
     expected="5",
@@ -303,7 +292,7 @@ _entry(
 _entry(
     id="3.2", params=(),
     build=lambda p: form_of(A1=1, C1=1, F=1),
-    generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-HALF, 0, -1]])],
+    generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [-HALF, 0, -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
     expected="5",
@@ -312,20 +301,16 @@ _entry(
 _entry(
     id="3.3", params=(sign("eps"),),
     build=lambda p: form_of(B1=1, B2=p["eps"], F=1),
-    generators=lambda p: [mat([[1, 0, 0], [0, 0, p["eps"] / 2], [0, -HALF, -1]]),
-                          mat([[0, 0, 0], [0, 1, p["eps"]], [0, -1, -1]])],
+    generators=lambda p: [Mat3([[1, 0, 0], [0, 0, p["eps"] / 2], [0, -HALF, -1]]),
+                          Mat3([[0, 0, 0], [0, 1, p["eps"]], [0, -1, -1]])],
     claimed_dim="2",
     expected=lambda p: "3(3)" if p["eps"] == 1 else "1",
-    notes=("on the eps=+1 branch the quadratic factor is a perfect square, "
-           "the radical becomes 1-dimensional and the second recorded "
-           "generator collapses into the arbitrary-function family: the "
-           "computed algebra is infinite plus one, not 2-dimensional",),
 )
 
 _entry(
     id="3.4", params=(),
     build=lambda p: form_of(B1=1, B3=1, F=1),
-    generators=lambda p: [mat([[1, 0, 1], [0, 0, 0], [0, -HALF, -1]])],
+    generators=lambda p: [Mat3([[1, 0, 1], [0, 0, 0], [0, -HALF, -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
     expected="5",
@@ -334,18 +319,16 @@ _entry(
 _entry(
     id="3.5", params=(),
     build=lambda p: form_of(B1=1, C1=1, F=1),
-    generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [0, -1, -1]]),
-                          mat([[1, 0, 0], [0, 0, 0], [-1, -HALF, -1]])],
+    generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [0, -1, -1]]),
+                          Mat3([[1, 0, 0], [0, 0, 0], [-1, -HALF, -1]])],
     claimed_dim="2",
     expected="1",
-    notes=("the first recorded generator is missing a -x1/2 contribution in "
-           "its third component and fails the isometry check as written",),
 )
 
 _entry(
     id="3.6", params=(),
     build=lambda p: form_of(B1=1, C3=1, F=1),
-    generators=lambda p: [mat([[-1, -HALF, 0], [0, 0, 0], [0, HALF, 1]])],
+    generators=lambda p: [Mat3([[-1, -HALF, 0], [0, 0, 0], [0, HALF, 1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
     expected="5",
@@ -354,7 +337,7 @@ _entry(
 _entry(
     id="3.7", params=(),
     build=lambda p: form_of(A1=1, A2=1, C2=1),
-    generators=lambda p: [mat([[1, 0, 0], [0, 0, 0], [-1, 0, -2]])],
+    generators=lambda p: [Mat3([[1, 0, 0], [0, 0, 0], [-1, 0, -2]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
     expected="4",
@@ -363,7 +346,7 @@ _entry(
 _entry(
     id="3.8", params=(sign("eps1"), sign("eps2")),
     build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"]),
-    generators=lambda p: [mat([[0, 0, 0], [0, 0, 1], [0, -p["eps1"] * p["eps2"], 0]])],
+    generators=lambda p: [Mat3([[0, 0, 0], [0, 0, 1], [0, -p["eps1"] * p["eps2"], 0]])],
     series=lambda p: _even_series(-p["eps1"] * p["eps2"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-eps1*eps2",
     claimed_dim="1",
@@ -374,18 +357,15 @@ _entry(
     id="3.9", params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"], C2=1),
     generators=lambda p: [Mat3.diag(1, -HALF, -2),
-                          mat([[0, 0, 0], [-p["eps"] / 2, 0, 0], [0, 1, 0]])],
+                          Mat3([[0, 0, 0], [-p["eps"] / 2, 0, 0], [0, 1, 0]])],
     claimed_dim="2",
     expected="2",
-    notes=("the first recorded generator misses a -x1 contribution in its "
-           "third component and fails the isometry check as written; the "
-           "corrected field still brackets to (3/2) times the second",),
 )
 
 _entry(
     id="3.10", params=(sign("eps"),),
     build=lambda p: form_of(A1=1, B1=p["eps"], C3=1),
-    generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-2 * p["eps"], 0, -2]])],
+    generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [-2 * p["eps"], 0, -2]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
     expected="4",
@@ -394,21 +374,18 @@ _entry(
 _entry(
     id="3.11", params=(sign("eps"),),
     build=lambda p: form_of(B1=1, B2=p["eps"], C1=1),
-    generators=lambda p: [mat([[0, 0, 0], [0, 0, 1], [-p["eps"], -2 * p["eps"], 0]])],
-    inv_matrix=lambda p: mat([[0, 0, 0], [0, 0, 1], [-p["eps"] / 2, -p["eps"], 0]]),
+    generators=lambda p: [Mat3([[0, 0, 0], [0, 0, 1], [-p["eps"], -2 * p["eps"], 0]])],
+    inv_matrix=lambda p: Mat3([[0, 0, 0], [0, 0, 1], [-p["eps"] / 2, -p["eps"], 0]]),
     series=lambda p: _even_series(-p["eps"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-eps",
     claimed_dim="1",
     expected=_by_sign(lambda p: -p["eps"]),
-    notes=("the recorded generator field doubles the third row of the "
-           "recorded invariant matrix but not the second; only the invariant "
-           "matrix satisfies the isometry equation",),
 )
 
 _entry(
     id="3.12", params=(),
     build=lambda p: form_of(B1=1, B3=1, C1=1),
-    generators=lambda p: [mat([[0, 0, 1], [0, 0, 0], [-1, -HALF, 0]])],
+    generators=lambda p: [Mat3([[0, 0, 1], [0, 0, 0], [-1, -HALF, 0]])],
     series=lambda p: _even_series(-1),
     series_tag="(-1)^(n/2)(1+(-1)^n)",
     claimed_dim="1",
@@ -418,8 +395,8 @@ _entry(
 _entry(
     id="3.13", params=(sign("eps"),),
     build=lambda p: form_of(B1=1, B3=p["eps"], C3=1),
-    generators=lambda p: [mat([[-2, 0, Fraction(-3, 2)], [0, 1, 0], [0, 0, -HALF]]),
-                          mat([[0, -1, -2 * p["eps"]], [0, 0, 0], [0, 1, 0]])],
+    generators=lambda p: [Mat3([[-2, 0, Fraction(-3, 2)], [0, 1, 0], [0, 0, -HALF]]),
+                          Mat3([[0, -1, -2 * p["eps"]], [0, 0, 0], [0, 1, 0]])],
     claimed_dim="2",
     expected="2",
 )
@@ -429,9 +406,9 @@ _entry(
 _entry(
     id="4.1", params=(sign("eps1"), sign("eps2"), rational("F", 2)),
     build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"], F=p["F"]),
-    generators=lambda p: [mat([[0, 0, 0],
-                               [0, p["eps2"] * p["F"], 1],
-                               [0, -p["eps1"] * p["eps2"], -p["eps2"] * p["F"]]])],
+    generators=lambda p: [Mat3([[0, 0, 0],
+                                [0, p["eps2"] * p["F"], 1],
+                                [0, -p["eps1"] * p["eps2"], -p["eps2"] * p["F"]]])],
     series=lambda p: _even_series(p["F"] ** 2 - p["eps1"] * p["eps2"]),
     series_tag="c^(n/2)(1+(-1)^n), c=F^2-eps1*eps2",
     claimed_dim="1",
@@ -448,9 +425,9 @@ _entry(
 _entry(
     id="4.2", params=(sign("eps"), rational("F", 2)),
     build=lambda p: form_of(A1=1, B1=p["eps"], C2=1, F=p["F"]),
-    generators=lambda p: [mat([[0, 0, 0],
-                               [-1 / (2 * p["F"]), -1, 0],
-                               [0, p["eps"] / p["F"], 1]])],
+    generators=lambda p: [Mat3([[0, 0, 0],
+                                [-1 / (2 * p["F"]), -1, 0],
+                                [0, p["eps"] / p["F"], 1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
     expected="5",
@@ -459,9 +436,9 @@ _entry(
 _entry(
     id="4.3", params=(sign("eps"), rational("F", 2)),
     build=lambda p: form_of(B1=p["eps"], B2=1, C2=1, F=p["F"]),
-    generators=lambda p: [mat([[0, 0, 0],
-                               [-p["eps"] / 2, -p["eps"] * p["F"], -p["eps"]],
-                               [0, 1, p["eps"] * p["F"]]])],
+    generators=lambda p: [Mat3([[0, 0, 0],
+                                [-p["eps"] / 2, -p["eps"] * p["F"], -p["eps"]],
+                                [0, 1, p["eps"] * p["F"]]])],
     series=lambda p: _even_series(p["F"] ** 2 - p["eps"]),
     series_tag="c^(n/2)(1+(-1)^n), c=F^2-eps",
     claimed_dim="1",
@@ -476,9 +453,9 @@ _entry(
 _entry(
     id="4.4", params=(rational("F", 2),),
     build=lambda p: form_of(B2=1, B3=1, C2=1, F=p["F"]),
-    generators=lambda p: [mat([[1, 0, 1 / (2 * p["F"])],
-                               [-1 / p["F"], -1, -1 / (2 * p["F"])],
-                               [0, 0, 0]])],
+    generators=lambda p: [Mat3([[1, 0, 1 / (2 * p["F"])],
+                                [-1 / p["F"], -1, -1 / (2 * p["F"])],
+                                [0, 0, 0]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
     expected="5",
@@ -487,35 +464,29 @@ _entry(
 _entry(
     id="4.5", params=(rational("B", 3),),
     build=lambda p: form_of(A1=1, A2=1, B1=p["B"], C2=1),
-    generators=lambda p: [mat([[1, 0, 0], [-p["B"], 0, 0], [-1, 2 * p["B"] ** 2, -2]])],
-    inv_matrix=lambda p: mat([[1, 0, 0], [-p["B"], 0, 0], [0, 2 * p["B"] ** 2, -2]]),
+    generators=lambda p: [Mat3([[1, 0, 0], [-p["B"], 0, 0], [-1, 2 * p["B"] ** 2, -2]])],
+    inv_matrix=lambda p: Mat3([[1, 0, 0], [-p["B"], 0, 0], [0, 2 * p["B"] ** 2, -2]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
     expected="4",
-    notes=("the recorded invariant matrix drops the -1 entry in position "
-           "(3,1) that the recorded generator field carries; only the field "
-           "satisfies the isometry equation (their invariants coincide)",),
 )
 
 _entry(
     id="4.6", params=(rational("B", 3),),
     build=lambda p: form_of(A1=1, A2=1, B1=p["B"], C3=1),
-    generators=lambda p: [mat([[0, 0, 0], [0, 1, 0], [-2 * p["B"], -1, -2]])],
-    inv_matrix=lambda p: mat([[0, 0, 0], [0, 1, 0], [2 * p["B"], 1, -2]]),
+    generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [-2 * p["B"], -1, -2]])],
+    inv_matrix=lambda p: Mat3([[0, 0, 0], [0, 1, 0], [2 * p["B"], 1, -2]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
     expected="4",
-    notes=("the recorded invariant matrix flips the signs of the first two "
-           "entries of the third row relative to the recorded generator "
-           "field; only the field satisfies the isometry equation",),
 )
 
 _entry(
     id="4.7", params=(sign("eps1"), sign("eps2"), rational("C", 3)),
     build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"], C1=p["C"]),
-    generators=lambda p: [mat([[0, 0, 0],
-                               [0, 0, 1],
-                               [-p["eps2"] * p["C"] / 2, -p["eps1"] * p["eps2"], 0]])],
+    generators=lambda p: [Mat3([[0, 0, 0],
+                                [0, 0, 1],
+                                [-p["eps2"] * p["C"] / 2, -p["eps1"] * p["eps2"], 0]])],
     series=lambda p: _even_series(-p["eps1"] * p["eps2"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-eps1*eps2",
     claimed_dim="1",
@@ -525,9 +496,9 @@ _entry(
 _entry(
     id="4.8", params=(sign("eps"), rational("C", 3)),
     build=lambda p: form_of(A1=1, B2=p["eps"], B3=1, C2=p["C"]),
-    generators=lambda p: [mat([[0, 0, -p["C"]],
-                               [2 * (p["C"] ** 2 - p["eps"]), -2, p["eps"] * p["C"]],
-                               [0, 0, 1]])],
+    generators=lambda p: [Mat3([[0, 0, -p["C"]],
+                                [2 * (p["C"] ** 2 - p["eps"]), -2, p["eps"] * p["C"]],
+                                [0, 0, 1]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
     expected="4",
@@ -536,8 +507,8 @@ _entry(
 _entry(
     id="4.9", params=(rational("B", 3),),
     build=lambda p: form_of(A1=1, B1=p["B"], C1=1, C2=1),
-    generators=lambda p: [mat([[1, 0, 0], [0, -HALF, 0], [-1, Fraction(-3, 2), -2]]),
-                          mat([[0, 0, 0], [1, 0, 0], [-1, -2 * p["B"], 0]])],
+    generators=lambda p: [Mat3([[1, 0, 0], [0, -HALF, 0], [-1, Fraction(-3, 2), -2]]),
+                          Mat3([[0, 0, 0], [1, 0, 0], [-1, -2 * p["B"], 0]])],
     claimed_dim="2",
     expected="2",
 )
@@ -545,7 +516,7 @@ _entry(
 _entry(
     id="4.10", params=(rational("B", 3, allow_zero=True),),
     build=lambda p: form_of(B1=p["B"], B2=1, C1=1, C2=1),
-    generators=lambda p: [mat([[0, 0, 0], [HALF, 0, 1], [-HALF, -p["B"], 0]])],
+    generators=lambda p: [Mat3([[0, 0, 0], [HALF, 0, 1], [-HALF, -p["B"], 0]])],
     series=lambda p: _even_series(-p["B"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-B",
     claimed_dim="1",
@@ -562,7 +533,7 @@ _entry(
 _entry(
     id="5.1", params=(rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"]),
-    generators=lambda p: [mat([[0, 2 * p["C3"], 1], [-2 * p["C2"], 0, -1], [0, 0, 0]])],
+    generators=lambda p: [Mat3([[0, 2 * p["C3"], 1], [-2 * p["C2"], 0, -1], [0, 0, 0]])],
     series=lambda p: _even_series(-4 * p["C2"] * p["C3"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-4*C2*C3",
     claimed_dim="1",
@@ -573,9 +544,9 @@ _entry(
 _entry(
     id="5.2", params=(rational("B3", 3), rational("C3", 2)),
     build=lambda p: form_of(A2=1, A3=1, B2=1, B3=p["B3"], C3=p["C3"]),
-    generators=lambda p: [mat([[-2, 2 * (p["C3"] ** 2 - p["B3"]), p["B3"] * p["C3"] - 1],
-                               [0, 0, -p["C3"]],
-                               [0, 0, 1]])],
+    generators=lambda p: [Mat3([[-2, 2 * (p["C3"] ** 2 - p["B3"]), p["B3"] * p["C3"] - 1],
+                                [0, 0, -p["C3"]],
+                                [0, 0, 1]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
     expected="4",
@@ -584,7 +555,7 @@ _entry(
 _entry(
     id="5.3", params=(rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
-    generators=lambda p: [mat([[2, 2 * p["C3"], 1], [-2 * p["C2"], -2, -1], [0, 0, 0]])],
+    generators=lambda p: [Mat3([[2, 2 * p["C3"], 1], [-2 * p["C2"], -2, -1], [0, 0, 0]])],
     series=lambda p: _even_series(4 * (1 - p["C2"] * p["C3"])),
     series_tag="c^(n/2)(1+(-1)^n), c=4(1-C2*C3)",
     claimed_dim="1",
@@ -602,9 +573,9 @@ _entry(
 _entry(
     id="5.4", params=(rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
-    generators=lambda p: [mat([[-1 / p["C2"], -p["C3"] / p["C2"], -1 / (2 * p["C2"])],
-                               [1, 1 / p["C2"], 0],
-                               [0, 0, 0]])],
+    generators=lambda p: [Mat3([[-1 / p["C2"], -p["C3"] / p["C2"], -1 / (2 * p["C2"])],
+                                [1, 1 / p["C2"], 0],
+                                [0, 0, 0]])],
     series=lambda p: _even_series((1 - p["C2"] * p["C3"]) / p["C2"] ** 2),
     series_tag="c^(n/2)(1+(-1)^n), c=(1-C2*C3)/C2^2",
     claimed_dim="1",
@@ -619,7 +590,7 @@ _entry(
 _entry(
     id="5.5", params=(rational("B3", 3), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B2=1, B3=p["B3"], C3=p["C3"], F=1),
-    generators=lambda p: [mat([[-2, -2 * p["C3"], -p["B3"]], [0, 2, 1], [0, 0, 0]])],
+    generators=lambda p: [Mat3([[-2, -2 * p["C3"], -p["B3"]], [0, 2, 1], [0, 0, 0]])],
     series=lambda p: _even_series(4),
     series_tag="4^(n/2)(1+(-1)^n)",
     claimed_dim="1",
@@ -631,9 +602,9 @@ _entry(
 _entry(
     id="6.1", params=(rational("F", 2), rational("C2", 1), rational("C3", 2)),
     build=lambda p: form_of(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=p["F"]),
-    generators=lambda p: [mat([[2 * p["F"], 2 * p["C3"], 1],
-                               [-2 * p["C2"], -2 * p["F"], -1],
-                               [0, 0, 0]])],
+    generators=lambda p: [Mat3([[2 * p["F"], 2 * p["C3"], 1],
+                                [-2 * p["C2"], -2 * p["F"], -1],
+                                [0, 0, 0]])],
     series=lambda p: _even_series(4 * (p["F"] ** 2 - p["C2"] * p["C3"])),
     series_tag="c^(n/2)(1+(-1)^n), c=4(F^2-C2*C3)",
     claimed_dim="1",
@@ -674,7 +645,6 @@ class ProjectiveEntry:
     description: str
     build: object
     samples: tuple
-    notes: tuple = ()
 
 
 def _psample(label, params, recorded, expected=None):
@@ -699,17 +669,15 @@ CORRESPONDENCE_TABLE = {
 _TABLE_ROW = {pid: label for label, pids in CORRESPONDENCE_TABLE.items() for pid in pids}
 
 
-def _projective(pid, description, build, expected=None, notes=()):
+def _projective(pid, description, build, expected=None):
     """A projective class with one sample, recorded under its table row."""
     return ProjectiveEntry(pid, description, build,
-                           (_psample("default", {}, _TABLE_ROW[pid], expected),), notes)
+                           (_psample("default", {}, _TABLE_ROW[pid], expected),))
 
 
-_FILED_UNDER_TWIN = ("the computed 1-dimensional algebra is a rotation "
-                     "(I2 < 0), class 6; the correspondence table files "
-                     "this class under 5, its complex-equivalent twin",)
-
-
+# the two irrational subclass boundaries, where (2F+1)^2 = 3, cannot be
+# sampled in exact rational arithmetic; every rational sample with
+# F != -1/2 has the same symmetry data
 GENERAL_SAMPLES = (
     _psample("F=-2 (F below the lower irrational threshold)", {"F": Fraction(-2)}, "8"),
     _psample("F=-1 (between the lower threshold and -1/2)", {"F": Fraction(-1)}, "8"),
@@ -725,11 +693,7 @@ GENERAL_SAMPLES = (
 PROJECTIVE_ENTRIES = (
     ProjectiveEntry(
         "general", "A1=A2=A3=1, F free", lambda p: form_of(A1=1, A2=1, A3=1, F=p["F"]),
-        GENERAL_SAMPLES,
-        notes=("the two irrational subclass boundary points (where (2F+1)^2 = 3) "
-               "cannot be sampled in exact rational arithmetic; all rational "
-               "samples with F != -1/2 share the same symmetry data",),
-    ),
+        GENERAL_SAMPLES),
     _projective("I", "A1=A2=F=1", lambda p: form_of(A1=1, A2=1, F=1)),
     _projective("II", "A1=F=1", lambda p: form_of(A1=1, F=1)),
     _projective("III", "F=1", lambda p: form_of(F=1)),
@@ -740,14 +704,18 @@ PROJECTIVE_ENTRIES = (
     _projective("VIII", "A1=1", lambda p: form_of(A1=1)),
     _projective("IX", "A3=C1=B3=1", lambda p: form_of(A3=1, C1=1, B3=1)),
     _projective("X", "A2=-1, C1=B3=1", lambda p: form_of(A2=-1, C1=1, B3=1),
-                expected="6", notes=_FILED_UNDER_TWIN),
+                expected="6"),
     _projective("XI", "A2=C1=B3=1", lambda p: form_of(A2=1, C1=1, B3=1),
-                expected="6", notes=_FILED_UNDER_TWIN),
+                expected="6"),
     _projective("XII", "C1=B3=1", lambda p: form_of(C1=1, B3=1)),
     _projective("XIII", "A2=-1, C1=1", lambda p: form_of(A2=-1, C1=1)),
 )
 
 PROJECTIVE_BY_ID = {e.id: e for e in PROJECTIVE_ENTRIES}
+
+_FILED_UNDER_TWIN = ("computed symmetry class 6 (rotation generator, I2 < 0); "
+                     "the correspondence table files it under the "
+                     "complex-equivalent class 5")
 
 # recorded-vs-computed conflicts that are understood and accepted:
 # the audit treats exactly these as known; anything else is a regression.
@@ -757,34 +725,38 @@ KNOWN_DISCREPANCIES = {
                           "family exists and the computed algebra is infinite "
                           "plus one (class 3(3))",
     ("2.5", "dimension"): "recorded as 1-dimensional; computed algebra is "
-                          "2-dimensional abelian (class 1)",
+                          "2-dimensional abelian (class 1): the extra "
+                          "generator rotates the degenerate plane "
+                          "(hyperbolically when eps=-1)",
     ("3.3", "dimension"): "recorded as 2-dimensional, but on the eps=+1 branch "
                           "the metric degenerates (perfect-square factor): the "
-                          "computed algebra is infinite plus one (class 3(3))",
+                          "radical becomes 1-dimensional, the second recorded "
+                          "generator collapses into the arbitrary-function "
+                          "family, and the computed algebra is infinite plus "
+                          "one (class 3(3))",
     ("3.9", "generator"): "first recorded generator misses a -x1 term in its "
                           "third component and fails the isometry check; "
-                          "solver kernel supplies the corrected field",
+                          "solver kernel supplies the corrected field, which "
+                          "still brackets to (3/2) times the second",
     ("2.6", "dimension"): "recorded as 1-dimensional next to two recorded "
                           "generators; computed algebra is 2-dimensional "
                           "nonabelian (class 2)",
-    ("3.5", "generator"): "first recorded generator misses a -x1/2 term and "
-                          "fails the isometry check; solver kernel supplies "
-                          "the corrected field",
+    ("3.5", "generator"): "first recorded generator misses a -x1/2 term in its "
+                          "third component and fails the isometry check; "
+                          "solver kernel supplies the corrected field",
     ("3.11", "generator"): "recorded generator doubles only the third row of "
                            "the true field; the recorded invariant matrix is "
                            "the correct generator",
-    ("4.5", "invariant-matrix"): "recorded invariant matrix drops the (3,1) "
-                                 "entry of the generator field; invariants "
-                                 "are unaffected",
-    ("4.6", "invariant-matrix"): "recorded invariant matrix flips two signs "
-                                 "in the third row of the generator field; "
-                                 "invariants are unaffected",
-    ("X", "table"): "computed symmetry class 6 (rotation generator, I2 < 0); "
-                    "the correspondence table files it under the "
-                    "complex-equivalent class 5",
-    ("XI", "table"): "computed symmetry class 6 (rotation generator, I2 < 0); "
-                     "the correspondence table files it under the "
-                     "complex-equivalent class 5",
+    ("4.5", "invariant-matrix"): "recorded invariant matrix drops the -1 entry "
+                                 "at (3,1) of the generator field, which alone "
+                                 "passes the isometry check; the invariants "
+                                 "of the two coincide",
+    ("4.6", "invariant-matrix"): "recorded invariant matrix flips the signs of "
+                                 "the first two entries in the third row of "
+                                 "the generator field, which alone passes the "
+                                 "isometry check; invariants are unaffected",
+    ("X", "table"): _FILED_UNDER_TWIN,
+    ("XI", "table"): _FILED_UNDER_TWIN,
 }
 
 

@@ -19,9 +19,10 @@ missing keys are zero.  Transforms are 3x3 arrays of entries of the same
 kinds.  All output rationals are in lowest terms.
 
 Exit codes: 0 success; 1 input error, a result with an integer longer than
-the interpreter prints (4,300 digits by default), or an output pipe closed by
-its reader (as by `| head -1`); 2 catalog-verify found a discrepancy outside
-the known list (regression signal).
+the interpreter prints (4,300 digits by default), an output pipe closed by
+its reader (as by `| head -1`, silently) or any other failure to write the
+output (as to a full disk, with a one-line error); 2 catalog-verify found a
+discrepancy outside the known list (regression signal).
 """
 
 import argparse
@@ -383,9 +384,13 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader closed stdout; point fd 1 at devnull so that the final
-        # flush of what is still buffered does not report the pipe again
+    except OSError as exc:
+        # a closed pipe (BrokenPipeError) is the reader's choice and stays
+        # silent; any other write failure, such as a full disk, is reported
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        # point fd 1 at devnull so that the final flush of what is still
+        # buffered does not report the failure again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

@@ -16,7 +16,7 @@ from cubicsym.forms import scalar_to_json
 # SHA-256 of json.dumps(export_catalog(), indent=1, sort_keys=True) + "\n".
 # Any change to a recorded catalog fact changes it; re-pin it on purpose.
 CATALOG_IMAGE_SHA256 = \
-    "8e033a61ff4fa91cd4337e34efadd05be2dd621d02b1046900e5cca0e6f49e15"
+    "9ec2211dd61b1935c62b2f4f5ca92ec6ad32f59aaef8e7a42741ec9e60c6a873"
 
 
 def export_catalog():
@@ -51,7 +51,6 @@ def export_catalog():
             "generators": [g.to_json() for g in entry.generators(entry.defaults())],
             "invariant_matrix": None if entry.inv_matrix is None
             else entry.inv_matrix(entry.defaults()).to_json(),
-            "notes": list(entry.notes),
             "branches": branches,
         })
     projective = []
@@ -66,7 +65,7 @@ def export_catalog():
                 "expected_class": s.expected_class,
             })
         projective.append({"id": entry.id, "components": entry.description,
-                           "notes": list(entry.notes), "samples": samples})
+                           "samples": samples})
     return {
         "affine": affine,
         "projective": projective,

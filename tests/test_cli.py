@@ -308,6 +308,24 @@ def test_closed_output_pipe_exits_1_without_a_traceback():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_device_exits_1_with_one_error_line():
+    # every write to /dev/full fails with ENOSPC, a write error other than a
+    # closed pipe
+    src = str(Path(cubicsym.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for extra in ([], ["--json"]):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cubicsym.cli", "catalog-list", *extra],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, extra
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error:") and "Traceback" not in err, err
+
+
 def test_catalog_verify_all(capsys):
     code, out, _ = run(capsys, "catalog-verify", "--all", "--json")
     payload = json.loads(out)
