@@ -19,24 +19,24 @@ Python 3.11).
 from importlib import import_module
 
 from .forms import (CubicForm, Mat3, SingularTransformError, form_of,
-                    symmetrized_monomial, tau0_upper_bound)
+                    tau0_upper_bound)
 from .killing import (KillingSystem, SymmetryAlgebra, build_system,
                       killing_operator, solve, verify_killing)
 from .liealg import (ColinearityVerdict, DependentBasisError, InvariantSeries,
                      NotClosedError, StructureConstants, bracket, colinearity,
-                     derived_algebra, invariants, is_abelian, solvable_pair,
+                     derived_algebra, invariants, solvable_pair,
                      structure_constants)
 from .classify import (ClassificationReport, ComparisonVerdict, SymmetryClass,
                        classify, compare, NOT_EQUIVALENT, POSSIBLY_EQUIVALENT)
 
 __all__ = [
     "CubicForm", "Mat3", "SingularTransformError", "form_of",
-    "symmetrized_monomial", "tau0_upper_bound",
+    "tau0_upper_bound",
     "KillingSystem", "SymmetryAlgebra", "build_system", "killing_operator",
     "solve", "verify_killing",
     "ColinearityVerdict", "DependentBasisError", "InvariantSeries",
     "NotClosedError", "StructureConstants", "bracket", "colinearity",
-    "derived_algebra", "invariants", "is_abelian", "solvable_pair",
+    "derived_algebra", "invariants", "solvable_pair",
     "structure_constants",
     "ClassificationReport", "ComparisonVerdict", "SymmetryClass", "classify",
     "compare", "NOT_EQUIVALENT", "POSSIBLY_EQUIVALENT",

@@ -11,6 +11,9 @@ immutable value class with what a frozen dataclass would give it:
 - AttributeError on any assignment or deletion;
 - pickling and copying, which rebuild the record through __init__.
 
+A method that the class body defines itself is kept in place of the
+generated one, as a frozen dataclass keeps it.
+
 The methods are closures over the field names, not generated source, so
 importing the package neither loads dataclasses (and with it inspect, ast,
 dis and tokenize) nor compiles code for each class.
@@ -28,6 +31,8 @@ def record(cls):
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     body = {key: value for key, value in cls.__dict__.items()
             if key not in defaults and key not in ("__dict__", "__weakref__")}
+    if "__eq__" in body and body["__hash__"] is None:
+        del body["__hash__"]  # the None Python puts beside __eq__, not a choice
     body["__slots__"] = names
     body["__qualname__"] = cls.__qualname__
     fields = attrgetter(*names)
@@ -76,6 +81,7 @@ def record(cls):
 
     for method in (__init__, __eq__, __hash__, __repr__, __reduce__, __setattr__,
                    __delattr__):
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        body[method.__name__] = method
+        if method.__name__ not in body:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            body[method.__name__] = method
     return type(cls)(cls.__name__, cls.__bases__, body)

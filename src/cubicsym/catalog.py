@@ -711,8 +711,6 @@ PROJECTIVE_ENTRIES = (
     _projective("XIII", "A2=-1, C1=1", lambda p: form_of(A2=-1, C1=1)),
 )
 
-PROJECTIVE_BY_ID = {e.id: e for e in PROJECTIVE_ENTRIES}
-
 _FILED_UNDER_TWIN = ("computed symmetry class 6 (rotation generator, I2 < 0); "
                      "the correspondence table files it under the "
                      "complex-equivalent class 5")

@@ -24,7 +24,6 @@ and derives both.
 from ._record import record
 from .killing import solve
 from .liealg import colinearity, invariants, structure_constants
-from .linalg import span_equal
 
 
 # class label -> (finite_nontrivial_dim, has_infinite_family)
@@ -192,14 +191,3 @@ def compare(form1, form2):
                 witness=f"invariant series are not proportional ({verdict.reason})")
         notes.append("invariant series proportional with real constant")
     return ComparisonVerdict(POSSIBLY_EQUIVALENT, notes=tuple(notes))
-
-
-def conjugated_generators(algebra, T):
-    """Generators transported to the pulled-back frame: T^-1 A T."""
-    inv = T.inverse()
-    return [inv @ A @ T for A in algebra.generators]
-
-
-def same_span(mats_a, mats_b):
-    """Exact equality of matrix spans (used by the covariance checks)."""
-    return span_equal([m.flatten() for m in mats_a], [m.flatten() for m in mats_b])

@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import product
 from operator import attrgetter
 
+from ._record import record
 from .linalg import nullspace, scale_to_integers
 
 
@@ -106,6 +107,7 @@ def _det(r):
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
 
 
+@record
 class Mat3:
     """Immutable 3x3 matrix of exact rationals.
 
@@ -114,20 +116,13 @@ class Mat3:
     parse_scalar, so a float or a bool is refused with TypeError.
     """
 
-    __slots__ = ("rows",)
+    rows: tuple
 
     def __init__(self, rows):
         rows = tuple(tuple(parse_scalar(v) for v in row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Mat3 needs a 3x3 array")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat3 is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since __setattr__ refuses
-        return Mat3, (self.rows,)
 
     @classmethod
     def identity(cls):
@@ -144,12 +139,6 @@ class Mat3:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, Mat3) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __add__(self, other):
         return Mat3(tuple(tuple(a + b for a, b in zip(ra, rb))
@@ -172,9 +161,6 @@ class Mat3:
     def apply(self, v):
         """Matrix-vector product T v."""
         return tuple(sum(self.rows[i][k] * v[k] for k in range(3)) for i in range(3))
-
-    def trace(self):
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
     def det(self):
         return _det(self.rows)
@@ -229,11 +215,11 @@ class Mat3:
 class CubicForm:
     """The ten stored components of a symmetric cubic tensor.
 
-    An immutable value: equality and hash go by class and components.  One
-    is built per Killing operator call, so it is written out here rather
-    than made a record, and it keeps an instance __dict__, where classify
-    stores the form's report.  Components are read by parse_scalar, so a
-    float or a bool is refused with TypeError.
+    An immutable value: equality and hash go by class and components.  It is
+    the one value class written out rather than made a record, because it
+    keeps an instance __dict__, where classify stores the form's report, and
+    one is built per Killing operator call.  Components are read by
+    parse_scalar, so a float or a bool is refused with TypeError.
     """
 
     def __init__(self, A1=_ZERO, A2=_ZERO, A3=_ZERO, B1=_ZERO, B2=_ZERO, B3=_ZERO,
@@ -345,14 +331,6 @@ class CubicForm:
 
     def __repr__(self):
         return f"CubicForm({self.describe()})"
-
-
-def symmetrized_monomial(i, j, k):
-    """The form whose only stored component is 1 at the sorted index (i,j,k)."""
-    idx = tuple(sorted((i, j, k)))
-    if idx not in TRIPLE_TO_NAME:
-        raise IndexError(f"index {(i, j, k)} out of range 1..3")
-    return CubicForm(**{TRIPLE_TO_NAME[idx]: Fraction(1)})
 
 
 def form_of(**components):

@@ -39,10 +39,6 @@ class StructureConstants:
 
     c: tuple
 
-    @property
-    def n(self):
-        return len(self.c)
-
     def is_zero(self):
         return all(v == 0 for layer in self.c for row in layer for v in row)
 
@@ -82,12 +78,6 @@ def structure_constants(basis):
             c[k][i][j] = red[k][col]
             c[k][j][i] = -red[k][col]
     return StructureConstants(c=tuple(tuple(tuple(row) for row in layer) for layer in c))
-
-
-def is_abelian(basis):
-    """True iff all pairwise brackets vanish (raises NotClosedError otherwise
-    if some bracket leaves the span)."""
-    return structure_constants(basis).is_zero()
 
 
 def derived_algebra(basis):

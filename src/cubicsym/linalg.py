@@ -69,11 +69,6 @@ def rref(matrix):
     return reduced, pivots
 
 
-def rank(matrix):
-    _, pivots = rref(matrix)
-    return len(pivots)
-
-
 def nullspace(matrix, ncols=None):
     """Canonical basis of the right kernel.
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import catalog
 from ._record import record
-from .classify import classify, conjugated_generators, same_span
+from .classify import classify
 from .forms import (COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, Mat3, form_of,
                     format_scalar)
 from .killing import build_system, killing_operator, solve, verify_killing
@@ -142,6 +142,17 @@ def suite_radical_covariance(trials=200):
             return _failure(f"radical covariance failure for {_form(g)}", g)
         return None
     return _run("radical covariance", trials, 102, body)
+
+
+def conjugated_generators(algebra, T):
+    """Generators transported to the pulled-back frame: T^-1 A T."""
+    inv = T.inverse()
+    return [inv @ A @ T for A in algebra.generators]
+
+
+def same_span(mats_a, mats_b):
+    """Exact equality of matrix spans."""
+    return span_equal([m.flatten() for m in mats_a], [m.flatten() for m in mats_b])
 
 
 def suite_kernel_covariance(trials=200):

@@ -89,7 +89,7 @@ def test_instantiate_examples():
     assert get_entry("1.1").instantiate() == form_of(F=1)
     assert get_entry("3.8").instantiate({"eps1": 1, "eps2": -1}) == \
         form_of(A1=1, B1=1, B2=-1)
-    three = catalog.PROJECTIVE_BY_ID["III"]
+    three = next(e for e in catalog.PROJECTIVE_ENTRIES if e.id == "III")
     assert three.build({}) == form_of(F=1)
 
 

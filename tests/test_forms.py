@@ -7,8 +7,7 @@ from math import lcm
 
 import pytest
 
-from cubicsym import CubicForm, Mat3, SingularTransformError, form_of, \
-    symmetrized_monomial, tau0_upper_bound
+from cubicsym import CubicForm, Mat3, SingularTransformError, form_of, tau0_upper_bound
 from cubicsym.catalog import ENTRIES
 from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, \
     _canonical_columns, _int_tensor, parse_scalar
@@ -60,6 +59,11 @@ def test_evaluate_matches_full_contraction():
         assert g.evaluate(v) == evaluate_oracle(g, v)
 
 
+def symmetrized_monomial(i, j, k):
+    """The form whose only stored component is 1 at the sorted index (i,j,k)."""
+    return CubicForm(**{TRIPLE_TO_NAME[tuple(sorted((i, j, k)))]: 1})
+
+
 def test_symmetrized_monomial():
     assert symmetrized_monomial(1, 2, 3) == form_of(F=1)
     assert symmetrized_monomial(2, 2, 1) == form_of(B1=1)
@@ -67,7 +71,7 @@ def test_symmetrized_monomial():
     for triple, name in TRIPLE_TO_NAME.items():
         for p in permutations(triple):
             g = symmetrized_monomial(*p)
-            assert getattr(g, name) == 1
+            assert getattr(g, name) == 1 and g.component(*p) == 1
             assert g.affine_type() == 1
 
 

@@ -47,6 +47,21 @@ def test_import_loads_only_the_solver():
     assert "catalog" in result["star"] and "classify" in result["star"]
 
 
+def test_public_names():
+    # adding or removing a public name takes a deliberate edit here
+    import cubicsym
+    assert sorted(cubicsym.__all__) == [
+        "ClassificationReport", "ColinearityVerdict", "ComparisonVerdict", "CubicForm",
+        "DependentBasisError", "InvariantSeries", "KillingSystem", "Mat3",
+        "NOT_EQUIVALENT", "NotClosedError", "POSSIBLY_EQUIVALENT",
+        "SingularTransformError", "StructureConstants", "SymmetryAlgebra",
+        "SymmetryClass", "bracket", "build_system", "catalog", "classify",
+        "colinearity", "compare", "derived_algebra", "form_of", "invariants",
+        "killing_operator", "solvable_pair", "solve", "structure_constants",
+        "tau0_upper_bound", "verify_killing",
+    ]
+
+
 def test_from_cubicsym_import_catalog():
     from cubicsym import catalog
     import cubicsym

@@ -29,6 +29,30 @@ class TwinPair:
     b: object = None
 
 
+@record
+class Shown:
+    a: int
+
+    def __repr__(self):
+        return f"<{self.a}>"
+
+
+@record
+class Parsed:
+    a: int
+
+    def __init__(self, text):
+        object.__setattr__(self, "a", int(text))
+
+
+@record
+class Compared:
+    a: int
+
+    def __eq__(self, other):
+        return other.__class__ is Compared and abs(self.a) == abs(other.a)
+
+
 def test_record_init_and_defaults():
     assert Pair(3).a == 3 and Pair(3).b is None
     assert Pair(1, 2) == Pair(b=2, a=1) == Pair(1, b=2)
@@ -81,6 +105,23 @@ def test_record_reads_annotations_built_on_access():
     assert Lazy(1) == Lazy(a=1, b=2) and Lazy(1).b == 2
 
 
+def test_record_keeps_the_methods_the_class_defines():
+    assert repr(Shown(1)) == "<1>" and Shown(1) == Shown(a=1) != Shown(2)
+    assert Parsed("7").a == 7 and Parsed("7") == Parsed("7")
+    assert hash(Parsed("7")) == hash((7,))
+    assert repr(Parsed("7")) == "Parsed(a=7)"
+    assert pickle.loads(pickle.dumps(Parsed("7"))) == Parsed("7")
+    # defining __eq__ alone leaves __hash__ = None in the class body, which a
+    # record replaces, as a frozen dataclass does
+    assert Compared(1) == Compared(-1) and hash(Compared(1)) == hash((1,))
+    for value in (Shown(1), Parsed("7"), Compared(1)):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.a = 2
+        with pytest.raises(AttributeError):
+            del value.a
+
+
 def test_record_without_fields_is_refused():
     with pytest.raises(TypeError, match="annotates no fields"):
         @record
@@ -104,6 +145,22 @@ def test_cubic_form():
     h = form_of(A1=1, F=Fraction(-1, 2))
     classify(g)
     assert g == h and hash(g) == hash(h)
+
+
+def test_mat3():
+    m = Mat3.diag(1, Fraction(1, 2), -3)
+    assert m == Mat3([[1, 0, 0], [0, "1/2", 0], [0, 0, -3]]) and m != Mat3.identity()
+    assert m != form_of(A1=1) and form_of(A1=1) != m and m != m.rows
+    assert hash(m) == hash(Mat3(m.rows)) != hash(Mat3.identity())
+    assert repr(m) == "Mat3([[1, 0, 0], [0, 1/2, 0], [0, 0, -3]])"
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(AttributeError):
+        m.rows = Mat3.identity().rows
+    with pytest.raises(AttributeError):
+        del m.rows
+    assert m.rows[1][1] == Fraction(1, 2)
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert copy.copy(m) == m and copy.deepcopy(m) == m
 
 
 def test_symmetry_algebra():
