@@ -18,8 +18,7 @@ Python 3.11).
 
 from importlib import import_module
 
-from .forms import (CubicForm, Mat3, SingularTransformError, form_of,
-                    tau0_upper_bound)
+from .forms import CubicForm, Mat3, SingularTransformError, tau0_upper_bound
 from .killing import (KillingSystem, SymmetryAlgebra, build_system,
                       killing_operator, solve, verify_killing)
 from .liealg import (ColinearityVerdict, DependentBasisError, InvariantSeries,
@@ -30,8 +29,7 @@ from .classify import (ClassificationReport, ComparisonVerdict, SymmetryClass,
                        classify, compare, NOT_EQUIVALENT, POSSIBLY_EQUIVALENT)
 
 __all__ = [
-    "CubicForm", "Mat3", "SingularTransformError", "form_of",
-    "tau0_upper_bound",
+    "CubicForm", "Mat3", "SingularTransformError", "tau0_upper_bound",
     "KillingSystem", "SymmetryAlgebra", "build_system", "killing_operator",
     "solve", "verify_killing",
     "ColinearityVerdict", "DependentBasisError", "InvariantSeries",

@@ -12,7 +12,9 @@ immutable value class with what a frozen dataclass would give it:
 - pickling and copying, which rebuild the record through __init__.
 
 A method that the class body defines itself is kept in place of the
-generated one, as a frozen dataclass keeps it.
+generated one, as a frozen dataclass keeps it.  A name the class body lists
+in __slots__ is an extra slot, not a field: __init__, equality, hash, repr,
+pickling and copying ignore it, so a copy does not carry it.
 
 The methods are closures over the field names, not generated source, so
 importing the package neither loads dataclasses (and with it inspect, ast,
@@ -29,11 +31,14 @@ def record(cls):
     if not names:
         raise TypeError(f"@record class {cls.__qualname__} annotates no fields")
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    extra = cls.__dict__.get("__slots__", ())
+    extra = (extra,) if isinstance(extra, str) else tuple(extra)
+    # the descriptors of the body's own slots belong to cls, not to the new class
     body = {key: value for key, value in cls.__dict__.items()
-            if key not in defaults and key not in ("__dict__", "__weakref__")}
+            if key not in defaults and key not in extra and key not in ("__dict__", "__weakref__")}
     if "__eq__" in body and body["__hash__"] is None:
         del body["__hash__"]  # the None Python puts beside __eq__, not a choice
-    body["__slots__"] = names
+    body["__slots__"] = names + extra
     body["__qualname__"] = cls.__qualname__
     fields = attrgetter(*names)
     values = fields if len(names) > 1 else (lambda self: (fields(self),))

@@ -31,7 +31,7 @@ from itertools import product
 
 from ._record import record
 from .classify import SymmetryClass, classify
-from .forms import Mat3, form_of, parse_scalar, scalar_to_json
+from .forms import CubicForm, Mat3, parse_scalar, scalar_to_json
 # solve is not called here, but perfbench/run.py traces catalog.solve by name
 from .killing import solve, verify_killing  # noqa: F401
 from .liealg import invariants
@@ -176,7 +176,7 @@ def _entry(**kw):
 
 _entry(
     id="1.1", params=(),
-    build=lambda p: form_of(F=1),
+    build=lambda p: CubicForm(F=1),
     generators=lambda p: [Mat3.diag(1, -1, 0), Mat3.diag(1, 0, -1)],
     claimed_dim="2",
     expected="1",
@@ -184,7 +184,7 @@ _entry(
 
 _entry(
     id="1.2", params=(),
-    build=lambda p: form_of(B1=1),
+    build=lambda p: CubicForm(B1=1),
     generators=lambda p: [Mat3.diag(-2, 1, 0)],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="inf+1",
@@ -193,7 +193,7 @@ _entry(
 
 _entry(
     id="1.3", params=(),
-    build=lambda p: form_of(A1=1),
+    build=lambda p: CubicForm(A1=1),
     generators=lambda p: [],
     claimed_dim="inf^2",
     expected="3(1)",
@@ -203,7 +203,7 @@ _entry(
 
 _entry(
     id="2.1", params=(),
-    build=lambda p: form_of(A1=1, F=1),
+    build=lambda p: CubicForm(A1=1, F=1),
     generators=lambda p: [Mat3.diag(0, 1, -1)],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
@@ -212,7 +212,7 @@ _entry(
 
 _entry(
     id="2.2", params=(),
-    build=lambda p: form_of(B1=1, F=1),
+    build=lambda p: CubicForm(B1=1, F=1),
     generators=lambda p: [Mat3([[1, 0, 0], [0, 0, 0], [0, -HALF, -1]]),
                           Mat3([[0, 0, 0], [0, 1, 0], [0, -1, -1]])],
     claimed_dim="2",
@@ -221,7 +221,7 @@ _entry(
 
 _entry(
     id="2.3", params=(),
-    build=lambda p: form_of(A1=1, B3=1),
+    build=lambda p: CubicForm(A1=1, B3=1),
     generators=lambda p: [Mat3.diag(0, 1, -HALF)],
     series=lambda p: _pow_series(Fraction(-1, 2)), series_tag="(1+(-2)^n)/(-2)^n",
     claimed_dim="1",
@@ -230,7 +230,7 @@ _entry(
 
 _entry(
     id="2.4", params=(),
-    build=lambda p: form_of(A1=1, C1=1),
+    build=lambda p: CubicForm(A1=1, C1=1),
     generators=lambda p: [Mat3([[1, 0, 0], [-1, -2, 0], [0, 0, 0]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
@@ -239,7 +239,7 @@ _entry(
 
 _entry(
     id="2.5", params=(sign("eps"),),
-    build=lambda p: form_of(B1=1, B2=p["eps"]),
+    build=lambda p: CubicForm(B1=1, B2=p["eps"]),
     generators=lambda p: [Mat3.diag(1, -HALF, -HALF)],
     claimed_dim="1",
     expected="1",
@@ -247,7 +247,7 @@ _entry(
 
 _entry(
     id="2.6", params=(),
-    build=lambda p: form_of(B1=1, B3=1),
+    build=lambda p: CubicForm(B1=1, B3=1),
     generators=lambda p: [Mat3.diag(-2, 1, -HALF),
                           Mat3([[0, 0, 1], [0, 0, 0], [0, -HALF, 0]])],
     claimed_dim="1",
@@ -256,7 +256,7 @@ _entry(
 
 _entry(
     id="2.7", params=(),
-    build=lambda p: form_of(B1=1, C3=1),
+    build=lambda p: CubicForm(B1=1, C3=1),
     generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [-2, 0, -2]])],
     claimed_dim="inf+1",
     expected="3(3)",
@@ -264,7 +264,7 @@ _entry(
 
 _entry(
     id="2.8", params=(),
-    build=lambda p: form_of(A1=1, A2=1),
+    build=lambda p: CubicForm(A1=1, A2=1),
     generators=lambda p: [],
     claimed_dim="inf",
     expected="3(2)",
@@ -272,7 +272,7 @@ _entry(
 
 _entry(
     id="2.9", params=(sign("eps"),),
-    build=lambda p: form_of(A1=1, B1=p["eps"]),
+    build=lambda p: CubicForm(A1=1, B1=p["eps"]),
     generators=lambda p: [],
     claimed_dim="inf",
     expected="3(2)",
@@ -282,7 +282,7 @@ _entry(
 
 _entry(
     id="3.1", params=(sign("eps"),),
-    build=lambda p: form_of(A1=1, B1=p["eps"], F=1),
+    build=lambda p: CubicForm(A1=1, B1=p["eps"], F=1),
     generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [0, -p["eps"], -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
@@ -291,7 +291,7 @@ _entry(
 
 _entry(
     id="3.2", params=(),
-    build=lambda p: form_of(A1=1, C1=1, F=1),
+    build=lambda p: CubicForm(A1=1, C1=1, F=1),
     generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [-HALF, 0, -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
@@ -300,7 +300,7 @@ _entry(
 
 _entry(
     id="3.3", params=(sign("eps"),),
-    build=lambda p: form_of(B1=1, B2=p["eps"], F=1),
+    build=lambda p: CubicForm(B1=1, B2=p["eps"], F=1),
     generators=lambda p: [Mat3([[1, 0, 0], [0, 0, p["eps"] / 2], [0, -HALF, -1]]),
                           Mat3([[0, 0, 0], [0, 1, p["eps"]], [0, -1, -1]])],
     claimed_dim="2",
@@ -309,7 +309,7 @@ _entry(
 
 _entry(
     id="3.4", params=(),
-    build=lambda p: form_of(B1=1, B3=1, F=1),
+    build=lambda p: CubicForm(B1=1, B3=1, F=1),
     generators=lambda p: [Mat3([[1, 0, 1], [0, 0, 0], [0, -HALF, -1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
@@ -318,7 +318,7 @@ _entry(
 
 _entry(
     id="3.5", params=(),
-    build=lambda p: form_of(B1=1, C1=1, F=1),
+    build=lambda p: CubicForm(B1=1, C1=1, F=1),
     generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [0, -1, -1]]),
                           Mat3([[1, 0, 0], [0, 0, 0], [-1, -HALF, -1]])],
     claimed_dim="2",
@@ -327,7 +327,7 @@ _entry(
 
 _entry(
     id="3.6", params=(),
-    build=lambda p: form_of(B1=1, C3=1, F=1),
+    build=lambda p: CubicForm(B1=1, C3=1, F=1),
     generators=lambda p: [Mat3([[-1, -HALF, 0], [0, 0, 0], [0, HALF, 1]])],
     series=lambda p: _pow_series(-1), series_tag="1+(-1)^n",
     claimed_dim="1",
@@ -336,7 +336,7 @@ _entry(
 
 _entry(
     id="3.7", params=(),
-    build=lambda p: form_of(A1=1, A2=1, C2=1),
+    build=lambda p: CubicForm(A1=1, A2=1, C2=1),
     generators=lambda p: [Mat3([[1, 0, 0], [0, 0, 0], [-1, 0, -2]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
@@ -345,7 +345,7 @@ _entry(
 
 _entry(
     id="3.8", params=(sign("eps1"), sign("eps2")),
-    build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"]),
+    build=lambda p: CubicForm(A1=1, B1=p["eps1"], B2=p["eps2"]),
     generators=lambda p: [Mat3([[0, 0, 0], [0, 0, 1], [0, -p["eps1"] * p["eps2"], 0]])],
     series=lambda p: _even_series(-p["eps1"] * p["eps2"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-eps1*eps2",
@@ -355,7 +355,7 @@ _entry(
 
 _entry(
     id="3.9", params=(sign("eps"),),
-    build=lambda p: form_of(A1=1, B1=p["eps"], C2=1),
+    build=lambda p: CubicForm(A1=1, B1=p["eps"], C2=1),
     generators=lambda p: [Mat3.diag(1, -HALF, -2),
                           Mat3([[0, 0, 0], [-p["eps"] / 2, 0, 0], [0, 1, 0]])],
     claimed_dim="2",
@@ -364,7 +364,7 @@ _entry(
 
 _entry(
     id="3.10", params=(sign("eps"),),
-    build=lambda p: form_of(A1=1, B1=p["eps"], C3=1),
+    build=lambda p: CubicForm(A1=1, B1=p["eps"], C3=1),
     generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [-2 * p["eps"], 0, -2]])],
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
     claimed_dim="1",
@@ -373,7 +373,7 @@ _entry(
 
 _entry(
     id="3.11", params=(sign("eps"),),
-    build=lambda p: form_of(B1=1, B2=p["eps"], C1=1),
+    build=lambda p: CubicForm(B1=1, B2=p["eps"], C1=1),
     generators=lambda p: [Mat3([[0, 0, 0], [0, 0, 1], [-p["eps"], -2 * p["eps"], 0]])],
     inv_matrix=lambda p: Mat3([[0, 0, 0], [0, 0, 1], [-p["eps"] / 2, -p["eps"], 0]]),
     series=lambda p: _even_series(-p["eps"]),
@@ -384,7 +384,7 @@ _entry(
 
 _entry(
     id="3.12", params=(),
-    build=lambda p: form_of(B1=1, B3=1, C1=1),
+    build=lambda p: CubicForm(B1=1, B3=1, C1=1),
     generators=lambda p: [Mat3([[0, 0, 1], [0, 0, 0], [-1, -HALF, 0]])],
     series=lambda p: _even_series(-1),
     series_tag="(-1)^(n/2)(1+(-1)^n)",
@@ -394,7 +394,7 @@ _entry(
 
 _entry(
     id="3.13", params=(sign("eps"),),
-    build=lambda p: form_of(B1=1, B3=p["eps"], C3=1),
+    build=lambda p: CubicForm(B1=1, B3=p["eps"], C3=1),
     generators=lambda p: [Mat3([[-2, 0, Fraction(-3, 2)], [0, 1, 0], [0, 0, -HALF]]),
                           Mat3([[0, -1, -2 * p["eps"]], [0, 0, 0], [0, 1, 0]])],
     claimed_dim="2",
@@ -405,7 +405,7 @@ _entry(
 
 _entry(
     id="4.1", params=(sign("eps1"), sign("eps2"), rational("F", 2)),
-    build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"], F=p["F"]),
+    build=lambda p: CubicForm(A1=1, B1=p["eps1"], B2=p["eps2"], F=p["F"]),
     generators=lambda p: [Mat3([[0, 0, 0],
                                 [0, p["eps2"] * p["F"], 1],
                                 [0, -p["eps1"] * p["eps2"], -p["eps2"] * p["F"]]])],
@@ -424,7 +424,7 @@ _entry(
 
 _entry(
     id="4.2", params=(sign("eps"), rational("F", 2)),
-    build=lambda p: form_of(A1=1, B1=p["eps"], C2=1, F=p["F"]),
+    build=lambda p: CubicForm(A1=1, B1=p["eps"], C2=1, F=p["F"]),
     generators=lambda p: [Mat3([[0, 0, 0],
                                 [-1 / (2 * p["F"]), -1, 0],
                                 [0, p["eps"] / p["F"], 1]])],
@@ -435,7 +435,7 @@ _entry(
 
 _entry(
     id="4.3", params=(sign("eps"), rational("F", 2)),
-    build=lambda p: form_of(B1=p["eps"], B2=1, C2=1, F=p["F"]),
+    build=lambda p: CubicForm(B1=p["eps"], B2=1, C2=1, F=p["F"]),
     generators=lambda p: [Mat3([[0, 0, 0],
                                 [-p["eps"] / 2, -p["eps"] * p["F"], -p["eps"]],
                                 [0, 1, p["eps"] * p["F"]]])],
@@ -452,7 +452,7 @@ _entry(
 
 _entry(
     id="4.4", params=(rational("F", 2),),
-    build=lambda p: form_of(B2=1, B3=1, C2=1, F=p["F"]),
+    build=lambda p: CubicForm(B2=1, B3=1, C2=1, F=p["F"]),
     generators=lambda p: [Mat3([[1, 0, 1 / (2 * p["F"])],
                                 [-1 / p["F"], -1, -1 / (2 * p["F"])],
                                 [0, 0, 0]])],
@@ -463,7 +463,7 @@ _entry(
 
 _entry(
     id="4.5", params=(rational("B", 3),),
-    build=lambda p: form_of(A1=1, A2=1, B1=p["B"], C2=1),
+    build=lambda p: CubicForm(A1=1, A2=1, B1=p["B"], C2=1),
     generators=lambda p: [Mat3([[1, 0, 0], [-p["B"], 0, 0], [-1, 2 * p["B"] ** 2, -2]])],
     inv_matrix=lambda p: Mat3([[1, 0, 0], [-p["B"], 0, 0], [0, 2 * p["B"] ** 2, -2]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
@@ -473,7 +473,7 @@ _entry(
 
 _entry(
     id="4.6", params=(rational("B", 3),),
-    build=lambda p: form_of(A1=1, A2=1, B1=p["B"], C3=1),
+    build=lambda p: CubicForm(A1=1, A2=1, B1=p["B"], C3=1),
     generators=lambda p: [Mat3([[0, 0, 0], [0, 1, 0], [-2 * p["B"], -1, -2]])],
     inv_matrix=lambda p: Mat3([[0, 0, 0], [0, 1, 0], [2 * p["B"], 1, -2]]),
     series=lambda p: _pow_series(-2), series_tag="1+(-2)^n",
@@ -483,7 +483,7 @@ _entry(
 
 _entry(
     id="4.7", params=(sign("eps1"), sign("eps2"), rational("C", 3)),
-    build=lambda p: form_of(A1=1, B1=p["eps1"], B2=p["eps2"], C1=p["C"]),
+    build=lambda p: CubicForm(A1=1, B1=p["eps1"], B2=p["eps2"], C1=p["C"]),
     generators=lambda p: [Mat3([[0, 0, 0],
                                 [0, 0, 1],
                                 [-p["eps2"] * p["C"] / 2, -p["eps1"] * p["eps2"], 0]])],
@@ -495,7 +495,7 @@ _entry(
 
 _entry(
     id="4.8", params=(sign("eps"), rational("C", 3)),
-    build=lambda p: form_of(A1=1, B2=p["eps"], B3=1, C2=p["C"]),
+    build=lambda p: CubicForm(A1=1, B2=p["eps"], B3=1, C2=p["C"]),
     generators=lambda p: [Mat3([[0, 0, -p["C"]],
                                 [2 * (p["C"] ** 2 - p["eps"]), -2, p["eps"] * p["C"]],
                                 [0, 0, 1]])],
@@ -506,7 +506,7 @@ _entry(
 
 _entry(
     id="4.9", params=(rational("B", 3),),
-    build=lambda p: form_of(A1=1, B1=p["B"], C1=1, C2=1),
+    build=lambda p: CubicForm(A1=1, B1=p["B"], C1=1, C2=1),
     generators=lambda p: [Mat3([[1, 0, 0], [0, -HALF, 0], [-1, Fraction(-3, 2), -2]]),
                           Mat3([[0, 0, 0], [1, 0, 0], [-1, -2 * p["B"], 0]])],
     claimed_dim="2",
@@ -515,7 +515,7 @@ _entry(
 
 _entry(
     id="4.10", params=(rational("B", 3, allow_zero=True),),
-    build=lambda p: form_of(B1=p["B"], B2=1, C1=1, C2=1),
+    build=lambda p: CubicForm(B1=p["B"], B2=1, C1=1, C2=1),
     generators=lambda p: [Mat3([[0, 0, 0], [HALF, 0, 1], [-HALF, -p["B"], 0]])],
     series=lambda p: _even_series(-p["B"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-B",
@@ -532,7 +532,7 @@ _entry(
 
 _entry(
     id="5.1", params=(rational("C2", 1), rational("C3", 2)),
-    build=lambda p: form_of(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"]),
+    build=lambda p: CubicForm(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"]),
     generators=lambda p: [Mat3([[0, 2 * p["C3"], 1], [-2 * p["C2"], 0, -1], [0, 0, 0]])],
     series=lambda p: _even_series(-4 * p["C2"] * p["C3"]),
     series_tag="c^(n/2)(1+(-1)^n), c=-4*C2*C3",
@@ -543,7 +543,7 @@ _entry(
 
 _entry(
     id="5.2", params=(rational("B3", 3), rational("C3", 2)),
-    build=lambda p: form_of(A2=1, A3=1, B2=1, B3=p["B3"], C3=p["C3"]),
+    build=lambda p: CubicForm(A2=1, A3=1, B2=1, B3=p["B3"], C3=p["C3"]),
     generators=lambda p: [Mat3([[-2, 2 * (p["C3"] ** 2 - p["B3"]), p["B3"] * p["C3"] - 1],
                                 [0, 0, -p["C3"]],
                                 [0, 0, 1]])],
@@ -554,7 +554,7 @@ _entry(
 
 _entry(
     id="5.3", params=(rational("C2", 1), rational("C3", 2)),
-    build=lambda p: form_of(B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
+    build=lambda p: CubicForm(B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
     generators=lambda p: [Mat3([[2, 2 * p["C3"], 1], [-2 * p["C2"], -2, -1], [0, 0, 0]])],
     series=lambda p: _even_series(4 * (1 - p["C2"] * p["C3"])),
     series_tag="c^(n/2)(1+(-1)^n), c=4(1-C2*C3)",
@@ -572,7 +572,7 @@ _entry(
 
 _entry(
     id="5.4", params=(rational("C2", 1), rational("C3", 2)),
-    build=lambda p: form_of(A3=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
+    build=lambda p: CubicForm(A3=1, B3=1, C2=p["C2"], C3=p["C3"], F=1),
     generators=lambda p: [Mat3([[-1 / p["C2"], -p["C3"] / p["C2"], -1 / (2 * p["C2"])],
                                 [1, 1 / p["C2"], 0],
                                 [0, 0, 0]])],
@@ -589,7 +589,7 @@ _entry(
 
 _entry(
     id="5.5", params=(rational("B3", 3), rational("C3", 2)),
-    build=lambda p: form_of(A3=1, B2=1, B3=p["B3"], C3=p["C3"], F=1),
+    build=lambda p: CubicForm(A3=1, B2=1, B3=p["B3"], C3=p["C3"], F=1),
     generators=lambda p: [Mat3([[-2, -2 * p["C3"], -p["B3"]], [0, 2, 1], [0, 0, 0]])],
     series=lambda p: _even_series(4),
     series_tag="4^(n/2)(1+(-1)^n)",
@@ -601,7 +601,7 @@ _entry(
 
 _entry(
     id="6.1", params=(rational("F", 2), rational("C2", 1), rational("C3", 2)),
-    build=lambda p: form_of(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=p["F"]),
+    build=lambda p: CubicForm(A3=1, B2=1, B3=1, C2=p["C2"], C3=p["C3"], F=p["F"]),
     generators=lambda p: [Mat3([[2 * p["F"], 2 * p["C3"], 1],
                                 [-2 * p["C2"], -2 * p["F"], -1],
                                 [0, 0, 0]])],
@@ -692,23 +692,23 @@ GENERAL_SAMPLES = (
 
 PROJECTIVE_ENTRIES = (
     ProjectiveEntry(
-        "general", "A1=A2=A3=1, F free", lambda p: form_of(A1=1, A2=1, A3=1, F=p["F"]),
+        "general", "A1=A2=A3=1, F free", lambda p: CubicForm(A1=1, A2=1, A3=1, F=p["F"]),
         GENERAL_SAMPLES),
-    _projective("I", "A1=A2=F=1", lambda p: form_of(A1=1, A2=1, F=1)),
-    _projective("II", "A1=F=1", lambda p: form_of(A1=1, F=1)),
-    _projective("III", "F=1", lambda p: form_of(F=1)),
-    _projective("IV", "A1=C3=1", lambda p: form_of(A1=1, C3=1)),
-    _projective("V", "C1=C3=1", lambda p: form_of(C1=1, C3=1)),
-    _projective("VI", "A1=A2=1", lambda p: form_of(A1=1, A2=1)),
-    _projective("VII", "C1=1", lambda p: form_of(C1=1)),
-    _projective("VIII", "A1=1", lambda p: form_of(A1=1)),
-    _projective("IX", "A3=C1=B3=1", lambda p: form_of(A3=1, C1=1, B3=1)),
-    _projective("X", "A2=-1, C1=B3=1", lambda p: form_of(A2=-1, C1=1, B3=1),
+    _projective("I", "A1=A2=F=1", lambda p: CubicForm(A1=1, A2=1, F=1)),
+    _projective("II", "A1=F=1", lambda p: CubicForm(A1=1, F=1)),
+    _projective("III", "F=1", lambda p: CubicForm(F=1)),
+    _projective("IV", "A1=C3=1", lambda p: CubicForm(A1=1, C3=1)),
+    _projective("V", "C1=C3=1", lambda p: CubicForm(C1=1, C3=1)),
+    _projective("VI", "A1=A2=1", lambda p: CubicForm(A1=1, A2=1)),
+    _projective("VII", "C1=1", lambda p: CubicForm(C1=1)),
+    _projective("VIII", "A1=1", lambda p: CubicForm(A1=1)),
+    _projective("IX", "A3=C1=B3=1", lambda p: CubicForm(A3=1, C1=1, B3=1)),
+    _projective("X", "A2=-1, C1=B3=1", lambda p: CubicForm(A2=-1, C1=1, B3=1),
                 expected="6"),
-    _projective("XI", "A2=C1=B3=1", lambda p: form_of(A2=1, C1=1, B3=1),
+    _projective("XI", "A2=C1=B3=1", lambda p: CubicForm(A2=1, C1=1, B3=1),
                 expected="6"),
-    _projective("XII", "C1=B3=1", lambda p: form_of(C1=1, B3=1)),
-    _projective("XIII", "A2=-1, C1=1", lambda p: form_of(A2=-1, C1=1)),
+    _projective("XII", "C1=B3=1", lambda p: CubicForm(C1=1, B3=1)),
+    _projective("XIII", "A2=-1, C1=1", lambda p: CubicForm(A2=-1, C1=1)),
 )
 
 _FILED_UNDER_TWIN = ("computed symmetry class 6 (rotation generator, I2 < 0); "

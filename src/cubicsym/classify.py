@@ -79,12 +79,13 @@ class ClassificationReport:
 def classify(form):
     """Classify a cubic metric by its computed symmetry algebra.
 
-    A form keeps its report: the first call stores it on the form instance
-    it was given and later calls with that instance return the same report,
+    A form keeps its report: the first call stores it in the form's one
+    non-field slot and later calls with that instance return the same report,
     so classify(h) followed by compare(g, h) solves h once.  Nothing is
-    shared between distinct forms, even equal ones.
+    shared between distinct forms, even equal ones, and a copy or a pickle
+    of a form starts without a report.
     """
-    report = form.__dict__.get("_classification")
+    report = getattr(form, "_classification", None)
     if report is None:
         report = _classify(form)
         # CubicForm is frozen; the report is derived from its components alone

@@ -391,7 +391,9 @@ def main(argv=None):
             print(f"error: cannot write the output: {exc}", file=sys.stderr)
         # point fd 1 at devnull so that the final flush of what is still
         # buffered does not report the failure again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

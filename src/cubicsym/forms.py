@@ -28,7 +28,6 @@ from .linalg import nullspace, scale_to_integers
 
 
 COMPONENT_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "F")
-_components = attrgetter(*COMPONENT_NAMES)
 _ZERO = Fraction(0)
 
 # bijection between sorted index triples and stored component names
@@ -212,35 +211,33 @@ class Mat3:
                                     for row in self.rows) + "])"
 
 
+@record
 class CubicForm:
     """The ten stored components of a symmetric cubic tensor.
 
-    An immutable value: equality and hash go by class and components.  It is
-    the one value class written out rather than made a record, because it
-    keeps an instance __dict__, where classify stores the form's report, and
-    one is built per Killing operator call.  Components are read by
-    parse_scalar, so a float or a bool is refused with TypeError.
+    An immutable value: equality and hash go by class and components.
+    Components are read by parse_scalar, so a float or a bool is refused
+    with TypeError.  The one slot that is not a field holds the report
+    classify stores on the form; a copy or a pickle does not carry it.
     """
+
+    A1: Fraction
+    A2: Fraction
+    A3: Fraction
+    B1: Fraction
+    B2: Fraction
+    B3: Fraction
+    C1: Fraction
+    C2: Fraction
+    C3: Fraction
+    F: Fraction
+    __slots__ = ("_classification",)
 
     def __init__(self, A1=_ZERO, A2=_ZERO, A3=_ZERO, B1=_ZERO, B2=_ZERO, B3=_ZERO,
                  C1=_ZERO, C2=_ZERO, C3=_ZERO, F=_ZERO):
-        d = self.__dict__
         for name, value in zip(COMPONENT_NAMES, (A1, A2, A3, B1, B2, B3, C1, C2, C3, F)):
-            d[name] = value if value.__class__ is Fraction else parse_scalar(value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _components(self) == _components(other)
-
-    def __hash__(self):
-        return hash(_components(self))
+            object.__setattr__(self, name,
+                               value if value.__class__ is Fraction else parse_scalar(value))
 
     def component(self, alpha, beta, gamma):
         """Tensor component for any index order; permutation invariant."""
@@ -331,11 +328,6 @@ class CubicForm:
 
     def __repr__(self):
         return f"CubicForm({self.describe()})"
-
-
-def form_of(**components):
-    """Build a CubicForm from named components (ints, strings or Fractions)."""
-    return CubicForm(**components)
 
 
 def _canonical_columns(radius):

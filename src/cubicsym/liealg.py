@@ -175,14 +175,6 @@ class ColinearityVerdict:
     C_squared: Fraction | None = None
     reason: str = ""
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "C": None if self.C is None else format_scalar(self.C),
-            "C_squared": None if self.C_squared is None else format_scalar(self.C_squared),
-            "reason": self.reason,
-        }
-
 
 def colinearity(s1, s2):
     """Decide whether two invariant series are power-proportional.

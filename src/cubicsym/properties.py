@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import catalog
 from ._record import record
 from .classify import classify
-from .forms import (COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, Mat3, form_of,
+from .forms import (COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, CubicForm, Mat3,
                     format_scalar)
 from .killing import build_system, killing_operator, solve, verify_killing
 from .liealg import bracket, invariants
@@ -62,7 +62,7 @@ def random_form(rng):
         while v == 0:
             v = rng.randint(-3, 3)
         comps[name] = v
-    return form_of(**comps)
+    return CubicForm(**comps)
 
 
 def random_invertible(rng):
@@ -264,8 +264,8 @@ def suite_killing_linearity(trials=200):
         def p(t):
             return g1.evaluate([u + t * v for u, v in zip(x, Ax)])
         flat = A.flatten()
-        image = form_of(**{TRIPLE_TO_NAME[t]: sum(m * v for m, v in zip(row, flat))
-                           for t, row in zip(SORTED_TRIPLES, build_system(g1).matrix)})
+        image = CubicForm(**{TRIPLE_TO_NAME[t]: sum(m * v for m, v in zip(row, flat))
+                             for t, row in zip(SORTED_TRIPLES, build_system(g1).matrix)})
         if image.evaluate(x) != (8 * (p(1) - p(-1)) - (p(2) - p(-2))) / 12:
             x_json = json.dumps([format_scalar(c) for c in x])
             return _failure(f"assembled system disagrees with d/dt G(x + tAx) at t = 0 "

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubicsym import POSSIBLY_EQUIVALENT, Mat3, bracket, classify, colinearity, \
-    compare, form_of, invariants, solvable_pair, solve, structure_constants, \
+from cubicsym import POSSIBLY_EQUIVALENT, CubicForm, Mat3, bracket, classify, colinearity, \
+    compare, invariants, solvable_pair, solve, structure_constants, \
     tau0_upper_bound, verify_killing
 from cubicsym.catalog import KNOWN_DISCREPANCIES, get_entry, \
     projective_table, verify_all, verify_branch
@@ -195,18 +195,18 @@ def test_projective_table():
     for F, label in [(-2, "8"), (-1, "8"), (Fraction(-1, 4), "8"), (0, "8"),
                      (Fraction(1, 4), "8"), (Fraction(1, 2), "8"), (1, "8"),
                      (2, "8"), (Fraction(-1, 2), "1")]:
-        form = form_of(A1=1, A2=1, A3=1, F=F)
+        form = CubicForm(A1=1, A2=1, A3=1, F=F)
         assert classify(form).label == label, F
 
     # explicit pullback witness at F=-1/2: the integer factorization frame
     # takes the form to a two-component normal form in the same symmetry
     # class as the single-F metric, and no implemented invariant separates
     # them (they are complex-equivalent, not real-equivalent)
-    special = form_of(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
+    special = CubicForm(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
     witness = Mat3([[1, 1, 1], [1, -1, 1], [1, 0, -2]])
     pulled = special.pullback(witness)
-    assert pulled == form_of(B1=3, B2=9)
-    bm = form_of(F=1)
+    assert pulled == CubicForm(B1=3, B2=9)
+    bm = CubicForm(F=1)
     assert classify(pulled).label == classify(bm).label == "1"
     assert compare(pulled, bm).verdict == POSSIBLY_EQUIVALENT
     assert compare(special, bm).verdict == POSSIBLY_EQUIVALENT

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicsym import CubicForm, SymmetryClass, catalog, form_of, invariants, \
+from cubicsym import CubicForm, SymmetryClass, catalog, invariants, \
     solve, verify_killing
 from cubicsym.catalog import CORRESPONDENCE_TABLE, ENTRIES, \
     KNOWN_DISCREPANCIES, PROJECTIVE_ENTRIES, Branch, ParameterRangeError, \
@@ -86,11 +86,11 @@ def test_catalog_has_41_affine_entries():
 
 
 def test_instantiate_examples():
-    assert get_entry("1.1").instantiate() == form_of(F=1)
+    assert get_entry("1.1").instantiate() == CubicForm(F=1)
     assert get_entry("3.8").instantiate({"eps1": 1, "eps2": -1}) == \
-        form_of(A1=1, B1=1, B2=-1)
+        CubicForm(A1=1, B1=1, B2=-1)
     three = next(e for e in catalog.PROJECTIVE_ENTRIES if e.id == "III")
-    assert three.build({}) == form_of(F=1)
+    assert three.build({}) == CubicForm(F=1)
 
 
 def test_instantiate_validates_parameters():
@@ -101,7 +101,7 @@ def test_instantiate_validates_parameters():
     with pytest.raises(ParameterRangeError):
         get_entry("4.1").instantiate({"bogus": 1})
     # the one rational parameter whose vanishing is itself a catalogued case
-    assert get_entry("4.10").instantiate({"B": 0}) == form_of(B2=1, C1=1, C2=1)
+    assert get_entry("4.10").instantiate({"B": 0}) == CubicForm(B2=1, C1=1, C2=1)
 
 
 def test_parameters_refuse_floats_and_bools():
@@ -288,7 +288,7 @@ def test_audit_files_each_finding_kind_as_unknown(monkeypatch):
         "series: computed invariant series differs from the recorded closed form",)
 
     sample = catalog.ProjectiveSample("default", {}, "1", "8")
-    three = catalog.ProjectiveEntry("III", "F=1", lambda p: form_of(F=1), (sample,))
+    three = catalog.ProjectiveEntry("III", "F=1", lambda p: CubicForm(F=1), (sample,))
     [report] = catalog.verify_projective(three)
     assert report.computed_class == "1" and report.known_issues == ()
     assert report.unknown_issues == ("class: computed 1 != expected 8",)

@@ -1,11 +1,12 @@
 """Symmetry classification tree and the necessary-condition comparison."""
 
+import copy
 import importlib
+import pickle
 import random
 from fractions import Fraction
 
-from cubicsym import NOT_EQUIVALENT, POSSIBLY_EQUIVALENT, classify, compare, \
-    form_of
+from cubicsym import NOT_EQUIVALENT, POSSIBLY_EQUIVALENT, CubicForm, classify, compare
 from cubicsym.classify import CLASS_SHAPES, COMPLEX_TWINS
 from cubicsym.forms import COMPONENT_NAMES
 from cubicsym.properties import random_form, random_invertible
@@ -15,39 +16,39 @@ classify_module = importlib.import_module("cubicsym.classify")
 
 
 def test_classify_examples():
-    assert classify(form_of(F=1)).label == "1"
-    assert classify(form_of(A1=1, B3=1)).label == "4"
-    assert classify(form_of(A1=1)).label == "3(1)"
-    assert classify(form_of(A1=1, B1=1, B2=-1)).label == "5"   # mixed signs
-    assert classify(form_of(A1=1, B1=1, B2=1)).label == "6"    # same signs
-    assert classify(form_of(A1=1, A2=1, A3=1)).label == "8"
+    assert classify(CubicForm(F=1)).label == "1"
+    assert classify(CubicForm(A1=1, B3=1)).label == "4"
+    assert classify(CubicForm(A1=1)).label == "3(1)"
+    assert classify(CubicForm(A1=1, B1=1, B2=-1)).label == "5"   # mixed signs
+    assert classify(CubicForm(A1=1, B1=1, B2=1)).label == "6"    # same signs
+    assert classify(CubicForm(A1=1, A2=1, A3=1)).label == "8"
 
 
 def test_classify_complex_equivalence_flags():
-    five = classify(form_of(A1=1, B1=1, B2=-1))
-    six = classify(form_of(A1=1, B1=1, B2=1))
+    five = classify(CubicForm(A1=1, B1=1, B2=-1))
+    six = classify(CubicForm(A1=1, B1=1, B2=1))
     assert five.symmetry_class.complex_equivalent_to == "6"
     assert six.symmetry_class.complex_equivalent_to == "5"
 
 
 def test_classify_zero_form_is_degenerate():
-    report = classify(form_of())
+    report = classify(CubicForm())
     assert report.label == "3(1)"
     assert any("degenerate" in note for note in report.notes)
 
 
 def test_classify_infinite_subclasses():
-    assert classify(form_of(B1=1)).label == "3(3)"        # radical 1, finite 1
-    assert classify(form_of(A1=1, A2=1)).label == "3(2)"  # radical 1, finite 0
-    assert classify(form_of(A1=1)).label == "3(1)"        # radical 2
+    assert classify(CubicForm(B1=1)).label == "3(3)"        # radical 1, finite 1
+    assert classify(CubicForm(A1=1, A2=1)).label == "3(2)"  # radical 1, finite 0
+    assert classify(CubicForm(A1=1)).label == "3(1)"        # radical 2
 
 
 def test_classify_evidence_fields():
-    dim1 = classify(form_of(A1=1, F=1))
+    dim1 = classify(CubicForm(A1=1, F=1))
     assert dim1.invariant_series is not None and dim1.structure is None
-    dim2 = classify(form_of(F=1))
+    dim2 = classify(CubicForm(F=1))
     assert dim2.structure is not None and dim2.invariant_series is None
-    dim0 = classify(form_of(A1=1, A2=1, A3=1))
+    dim0 = classify(CubicForm(A1=1, A2=1, A3=1))
     assert dim0.invariant_series is None and dim0.structure is None
 
 
@@ -58,7 +59,7 @@ def test_class_shapes_match_computed_algebras():
     for _ in range(150):
         g = random_form(rng)
         forms += [g, g.pullback(random_invertible(rng)),
-                  form_of(**{n: rng.choice((-1, 0, 1)) for n in COMPONENT_NAMES})]
+                  CubicForm(**{n: rng.choice((-1, 0, 1)) for n in COMPONENT_NAMES})]
     seen = set()
     for g in forms:
         report = classify(g)
@@ -82,7 +83,7 @@ def test_classify_is_affine_invariant():
 
 
 def test_compare_different_classes():
-    verdict = compare(form_of(F=1), form_of(A1=1, B3=1))
+    verdict = compare(CubicForm(F=1), CubicForm(A1=1, B3=1))
     assert verdict.verdict == NOT_EQUIVALENT
     assert "class" in verdict.witness
 
@@ -96,8 +97,8 @@ def test_compare_pullback_is_possibly_equivalent():
 
 
 def test_compare_class_five_vs_six():
-    five = form_of(A1=1, B1=1, B2=-1)
-    six = form_of(A1=1, B1=1, B2=1)
+    five = CubicForm(A1=1, B1=1, B2=-1)
+    six = CubicForm(A1=1, B1=1, B2=1)
     verdict = compare(five, six)
     assert verdict.verdict == NOT_EQUIVALENT
     assert any("complex" in n for n in verdict.notes)
@@ -105,7 +106,7 @@ def test_compare_class_five_vs_six():
 
 def test_compare_same_class_different_scale_is_possible():
     # two boosts of different strength: classes agree, colinearity is real
-    a = form_of(A1=1, F=1)
+    a = CubicForm(A1=1, F=1)
     b = a.pullback(random_invertible(random.Random(3)))
     verdict = compare(a, b)
     assert verdict.verdict == POSSIBLY_EQUIVALENT
@@ -123,8 +124,8 @@ def test_compare_is_symmetric_and_reflexive():
 
 def test_compare_rescaled_metric_stays_possible():
     # componentwise rescaling preserves every implemented invariant
-    a = form_of(A1=1, B3=1)
-    scaled = form_of(A1=8, B3=Fraction(1, 2))
+    a = CubicForm(A1=1, B3=1)
+    scaled = CubicForm(A1=8, B3=Fraction(1, 2))
     assert compare(a, scaled).verdict == POSSIBLY_EQUIVALENT
 
 
@@ -141,15 +142,15 @@ def _count_solves(monkeypatch):
 
 
 def test_a_form_keeps_its_report():
-    g = form_of(A1=1, B1=1, B2=-1)
+    g = CubicForm(A1=1, B1=1, B2=-1)
     assert classify(g) is classify(g)
-    assert g == form_of(A1=1, B1=1, B2=-1)
-    assert repr(g) == repr(form_of(A1=1, B1=1, B2=-1))
+    assert g == CubicForm(A1=1, B1=1, B2=-1)
+    assert repr(g) == repr(CubicForm(A1=1, B1=1, B2=-1))
 
 
 def test_compare_after_classify_solves_each_form_once(monkeypatch):
     calls = _count_solves(monkeypatch)
-    g = form_of(A1=1, F=1)
+    g = CubicForm(A1=1, F=1)
     h = g.pullback(random_invertible(random.Random(7)))
     report = classify(h)
     assert compare(g, h).verdict == POSSIBLY_EQUIVALENT
@@ -157,9 +158,23 @@ def test_compare_after_classify_solves_each_form_once(monkeypatch):
     assert classify(h) is report
 
 
+def test_copies_of_a_classified_form_carry_no_report(monkeypatch):
+    g = CubicForm(A1=1, B1=1, B2=-1)
+    report = classify(g)
+    calls = _count_solves(monkeypatch)
+    for duplicate in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert duplicate == g
+        calls.clear()
+        own = classify(duplicate)
+        assert own == report and own is not report
+        assert len(calls) == 1 and calls[0] is duplicate
+    calls.clear()
+    assert classify(g) is report and calls == []
+
+
 def test_equal_forms_do_not_share_reports(monkeypatch):
     calls = _count_solves(monkeypatch)
-    a, b = form_of(A1=1, B3=1), form_of(A1=1, B3=1)
+    a, b = CubicForm(A1=1, B3=1), CubicForm(A1=1, B3=1)
     assert a == b and a is not b
     ra, rb = classify(a), classify(b)
     assert ra is not rb and ra == rb
@@ -168,6 +183,6 @@ def test_equal_forms_do_not_share_reports(monkeypatch):
 
 def test_compare_zero_form_with_a_cube_differs_in_radical():
     # both are class 3(1): the zero form has the full radical, A1=1 a plane
-    verdict = compare(form_of(), form_of(A1=1))
+    verdict = compare(CubicForm(), CubicForm(A1=1))
     assert verdict.verdict == NOT_EQUIVALENT
     assert verdict.witness == "radical dimension 3 vs 2"

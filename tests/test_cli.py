@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cubicsym
-from cubicsym import CubicForm, Mat3, catalog, cli, form_of, liealg, properties
+from cubicsym import CubicForm, Mat3, catalog, cli, liealg, properties
 from cubicsym.cli import _emit, main
 
 
@@ -36,6 +36,10 @@ def test_classify_plain(files, capsys):
     assert code == 0
     assert "symmetry class:          1" in out
     assert "2-dimensional algebra:   abelian\n" in out
+    code, out, _ = run(capsys, "classify", "--form", files("zero.json", {}))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "note: degenerate input: the zero form carries the full radical")
 
 
 def test_classify_plain_nonabelian(files, capsys):
@@ -106,6 +110,9 @@ def test_radical(files, capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["dimension"] == 2
+    code, out, _ = run(capsys, "radical", "--form", path)
+    assert code == 0
+    assert out.splitlines() == ["radical dimension: 2", "  (0, 1, 0)", "  (0, 0, 1)"]
 
 
 def test_transform_round_trip(files, capsys, tmp_path):
@@ -114,7 +121,7 @@ def test_transform_round_trip(files, capsys, tmp_path):
     code, out, _ = run(capsys, "transform", "--form", form, "--matrix", matrix)
     assert code == 0
     parsed = CubicForm.from_json(json.loads(out))
-    assert parsed == form_of(B1=3, B2=9)
+    assert parsed == CubicForm(B1=3, B2=9)
 
 
 def test_transform_identity_round_trip(files, capsys):
@@ -140,6 +147,17 @@ def test_compare(files, capsys):
     code, out, _ = run(capsys, "compare", "--form", a, "--other", b)
     assert code == 0
     assert "NOT_EQUIVALENT" in out
+    # classes 5 and 6: the plain output ends with the witness and a note
+    five = files("five.json", {"A1": 1, "B1": 1, "B2": -1})
+    six = files("six.json", {"A1": 1, "B1": 1, "B2": 1})
+    code, out, _ = run(capsys, "compare", "--form", five, "--other", six)
+    assert code == 0
+    assert out.splitlines() == [
+        "NOT_EQUIVALENT",
+        "witness: symmetry class 5 vs 6",
+        "note: classes 5 and 6 are complex-equivalent: the proportionality constant "
+        "is imaginary",
+    ]
 
 
 def test_malformed_form_reports_key(files, capsys):
@@ -295,13 +313,17 @@ def test_catalog_list_plain(capsys):
         ["3.12", "3", "1", "1"]
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this cubicsym."""
+    src = str(Path(cubicsym.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_output_pipe_exits_1_without_a_traceback():
     # the reader is gone before the child, still importing, writes a line
-    src = str(Path(cubicsym.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "cubicsym.cli", "catalog-list"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
@@ -312,9 +334,7 @@ def test_closed_output_pipe_exits_1_without_a_traceback():
 def test_full_output_device_exits_1_with_one_error_line():
     # every write to /dev/full fails with ENOSPC, a write error other than a
     # closed pipe
-    src = str(Path(cubicsym.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     for extra in ([], ["--json"]):
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
@@ -324,6 +344,31 @@ def test_full_output_device_exits_1_with_one_error_line():
         assert proc.returncode == 1, extra
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error:") and "Traceback" not in err, err
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                    reason="needs /dev/full and /proc")
+def test_failed_writes_leave_no_descriptor_open():
+    # each call fails on a fresh /dev/full, since a failed call leaves fd 1 on
+    # devnull; the last line of stderr counts the open descriptors per call
+    script = (
+        "import os, sys\n"
+        "from cubicsym.cli import main\n"
+        "counts = []\n"
+        "for _ in range(3):\n"
+        "    full = os.open('/dev/full', os.O_WRONLY)\n"
+        "    os.dup2(full, 1)\n"
+        "    os.close(full)\n"
+        "    assert main(['catalog-list']) == 1\n"
+        "    counts.append(len(os.listdir('/proc/self/fd')))\n"
+        "print(counts, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[:3] == [lines[0]] * 3 and lines[0].startswith("error: cannot write")
+    counts = json.loads(lines[3])
+    assert len(counts) == 3 and counts == [counts[0]] * 3
 
 
 def test_catalog_verify_all(capsys):

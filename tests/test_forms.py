@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from cubicsym import CubicForm, Mat3, SingularTransformError, form_of, tau0_upper_bound
+from cubicsym import CubicForm, Mat3, SingularTransformError, tau0_upper_bound
 from cubicsym.catalog import ENTRIES
 from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, \
     _canonical_columns, _int_tensor, parse_scalar
@@ -23,10 +23,10 @@ def evaluate_oracle(form, v):
 
 
 def test_component_examples():
-    assert form_of(F=1).component(3, 2, 1) == 1
-    assert all(form_of().component(*idx) == 0
+    assert CubicForm(F=1).component(3, 2, 1) == 1
+    assert all(CubicForm().component(*idx) == 0
                for idx in product((1, 2, 3), repeat=3))
-    assert form_of(B1=1).component(2, 1, 2) == 1
+    assert CubicForm(B1=1).component(2, 1, 2) == 1
 
 
 def test_component_permutation_invariance():
@@ -40,15 +40,15 @@ def test_component_permutation_invariance():
 
 def test_component_out_of_range():
     with pytest.raises(IndexError):
-        form_of(F=1).component(0, 1, 2)
+        CubicForm(F=1).component(0, 1, 2)
     with pytest.raises(IndexError):
-        form_of(F=1).component(1, 2, 4)
+        CubicForm(F=1).component(1, 2, 4)
 
 
 def test_evaluate_examples():
-    assert form_of(F=1).evaluate((1, 1, 1)) == 6
-    assert form_of(A1=1, A2=1, A3=1).evaluate((1, 2, 3)) == 36
-    assert form_of(B1=1).evaluate((1, 1, 1)) == 3
+    assert CubicForm(F=1).evaluate((1, 1, 1)) == 6
+    assert CubicForm(A1=1, A2=1, A3=1).evaluate((1, 2, 3)) == 36
+    assert CubicForm(B1=1).evaluate((1, 1, 1)) == 3
 
 
 def test_evaluate_matches_full_contraction():
@@ -65,9 +65,9 @@ def symmetrized_monomial(i, j, k):
 
 
 def test_symmetrized_monomial():
-    assert symmetrized_monomial(1, 2, 3) == form_of(F=1)
-    assert symmetrized_monomial(2, 2, 1) == form_of(B1=1)
-    assert symmetrized_monomial(1, 1, 1) == form_of(A1=1)
+    assert symmetrized_monomial(1, 2, 3) == CubicForm(F=1)
+    assert symmetrized_monomial(2, 2, 1) == CubicForm(B1=1)
+    assert symmetrized_monomial(1, 1, 1) == CubicForm(A1=1)
     for triple, name in TRIPLE_TO_NAME.items():
         for p in permutations(triple):
             g = symmetrized_monomial(*p)
@@ -79,7 +79,7 @@ def test_pullback_identity_and_permutation():
     rng = random.Random(13)
     g = random_form(rng)
     assert g.pullback(Mat3.identity()) == g
-    bm = form_of(F=1)
+    bm = CubicForm(F=1)
     for perm in permutations(range(3)):
         P = Mat3([[1 if j == perm[i] else 0 for j in range(3)] for i in range(3)])
         assert bm.pullback(P) == bm
@@ -95,16 +95,16 @@ def test_pullback_composes_contravariantly():
 
 def test_pullback_rejects_singular():
     with pytest.raises(SingularTransformError):
-        form_of(F=1).pullback(Mat3.zero())
+        CubicForm(F=1).pullback(Mat3.zero())
 
 
 def test_pullback_factors_the_special_symmetric_cubic():
     # x^3+y^3+z^3-3xyz = (plane) * (rank-2 quadric); the integer frame below
     # diagonalizes it to a two-component rotation-type normal form
-    g = form_of(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
+    g = CubicForm(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
     T = Mat3([[1, 1, 1], [1, -1, 1], [1, 0, -2]])
     pulled = g.pullback(T)
-    assert pulled == form_of(B1=3, B2=9)
+    assert pulled == CubicForm(B1=3, B2=9)
     assert pulled.affine_type() == 2
 
 
@@ -141,7 +141,7 @@ def test_pullback_matches_oracle():
         a, b = scalar(), scalar()
         return Mat3([r1, r2, [a * x + b * y for x, y in zip(r1, r2)]])
 
-    forms = [form_of(), form_of(F=1), form_of(A1=Fraction(-1, 97))]
+    forms = [CubicForm(), CubicForm(F=1), CubicForm(A1=Fraction(-1, 97))]
     forms += [CubicForm(**{n: scalar() for n in COMPONENT_NAMES}) for _ in range(60)]
     transforms = [Mat3.identity(), Mat3.zero(), Mat3.diag(-1, Fraction(1, 97), 3)]
     transforms += [matrix() for _ in range(50)] + [singular() for _ in range(10)]
@@ -161,9 +161,9 @@ def test_pullback_matches_oracle():
 
 
 def test_radical_examples():
-    assert form_of(B1=1).radical() == [(0, 0, 1)]
-    assert form_of(A1=1).radical() == [(0, 1, 0), (0, 0, 1)]
-    assert form_of(F=1).radical() == []
+    assert CubicForm(B1=1).radical() == [(0, 0, 1)]
+    assert CubicForm(A1=1).radical() == [(0, 1, 0), (0, 0, 1)]
+    assert CubicForm(F=1).radical() == []
 
 
 def test_radical_is_annihilator():
@@ -199,22 +199,22 @@ def _rank_by_elimination(rows):
 
 
 def test_affine_type():
-    assert form_of(F=1).affine_type() == 1
-    assert form_of().affine_type() == 0
-    assert form_of(A1=1, A2=1, A3=1, F=1).affine_type() == 4
+    assert CubicForm(F=1).affine_type() == 1
+    assert CubicForm().affine_type() == 0
+    assert CubicForm(A1=1, A2=1, A3=1, F=1).affine_type() == 4
 
 
 def test_tau0_trivial_cases():
-    bound, witness = tau0_upper_bound(form_of(F=1), 1)
+    bound, witness = tau0_upper_bound(CubicForm(F=1), 1)
     assert bound == 1 and witness == Mat3.identity()
-    bound, witness = tau0_upper_bound(form_of(), 1)
+    bound, witness = tau0_upper_bound(CubicForm(), 1)
     assert bound == 0 and witness == Mat3.identity()
 
 
 def test_tau0_reaches_the_true_type_of_the_factorable_cubic():
     # the F=-1/2 symmetric cubic has exact affine type 2 (one real plane and
     # an irreducible definite quadric factor rule out a single component)
-    g = form_of(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
+    g = CubicForm(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
     bound1, _ = tau0_upper_bound(g, 1)
     bound2, witness = tau0_upper_bound(g, 2)
     assert bound2 == 2
@@ -235,7 +235,7 @@ def test_tau0_rejects_bad_radius():
     # True would pass for radius 1 and 2.0 would reach range(); both are refused
     for radius in (0, -1, True, False, 2.0, Fraction(2), "2", None):
         with pytest.raises(ValueError, match="radius must be an int >= 1"):
-            tau0_upper_bound(form_of(A1=1, F=1), radius)
+            tau0_upper_bound(CubicForm(A1=1, F=1), radius)
 
 
 def tau0_brute_force(form, radius):
@@ -299,9 +299,9 @@ def test_tau0_matches_brute_force_at_radius_1():
 
 def test_tau0_matches_brute_force_at_radius_2():
     rng = random.Random(0)
-    forms = [form_of(**{n: rng.choice((-1, 1)) for n in rng.sample(COMPONENT_NAMES, t)})
+    forms = [CubicForm(**{n: rng.choice((-1, 1)) for n in rng.sample(COMPONENT_NAMES, t)})
              for t in range(2, 11)]
-    forms.append(form_of(A1=1, A2=1, A3=1, F=Fraction(-1, 2)))
+    forms.append(CubicForm(A1=1, A2=1, A3=1, F=Fraction(-1, 2)))
     for g in forms:
         assert tau0_upper_bound(g, 2) == tau0_brute_force(g, 2)
 
@@ -367,7 +367,7 @@ def test_tau0_matches_table_oracle():
               for _ in range(50)]
     forms += [random_form(rng) for _ in range(50)]
     forms += [g.scale(Fraction(10 ** 40, 3)) for g in forms[-5:]]
-    forms.append(form_of())
+    forms.append(CubicForm())
     assert len(branches) == 77 and len(forms) >= 250
     for g in forms:
         for radius in (1, 2):
@@ -376,7 +376,7 @@ def test_tau0_matches_table_oracle():
     # each in seeded signed-permutation frames; types 6 and 8-10 keep the bound
     # at 5, where most second columns have no third column
     box_rng = random.Random(0)
-    box = [form_of(**{n: box_rng.choice((-1, 1)) for n in box_rng.sample(COMPONENT_NAMES, t)})
+    box = [CubicForm(**{n: box_rng.choice((-1, 1)) for n in box_rng.sample(COMPONENT_NAMES, t)})
            for t in range(2, 11)]
     for g in box:
         for _ in range(5):
@@ -386,7 +386,7 @@ def test_tau0_matches_table_oracle():
             assert tau0_upper_bound(h, 2) == tau0_table_oracle(h, 2), h
     # the tables of one radius are never used for another: this form has
     # bound 3 at radius 1 and 2 at radius 2
-    g = form_of(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
+    g = CubicForm(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
     for radius in (2, 1, 2):
         assert tau0_upper_bound(g, radius) == tau0_table_oracle(g, radius), radius
     # radius 3 (171 columns): the same mix, then a form alternating with its
@@ -407,7 +407,7 @@ def test_json_round_trip():
         assert CubicForm.from_json(g.to_json()) == g
     g = CubicForm.from_json({"A1": 2, "F": "-1/2"})
     assert g.A1 == 2 and g.F == Fraction(-1, 2)
-    assert CubicForm.from_json({}) == form_of()
+    assert CubicForm.from_json({}) == CubicForm()
 
 
 def test_json_rejects_unknown_key():
@@ -434,16 +434,16 @@ def test_cubic_form_refuses_floats_and_bools():
         with pytest.raises(TypeError):
             CubicForm(F=bad)
         with pytest.raises(TypeError):
-            form_of(A1=1, C3=bad)
-    assert CubicForm(F=Fraction(1, 10), A1=2, B1="3/4") == form_of(F="1/10", A1=2, B1="3/4")
+            CubicForm(A1=1, C3=bad)
+    assert CubicForm(F=Fraction(1, 10), A1=2, B1="3/4") == CubicForm(F="1/10", A1=2, B1="3/4")
 
 
 def test_cubic_form_scale_refuses_floats_and_bools():
-    g = form_of(A1=1, F=2)
+    g = CubicForm(A1=1, F=2)
     for bad in INEXACT:
         with pytest.raises(TypeError):
             g.scale(bad)
-    assert g.scale("1/2") == g.scale(Fraction(1, 2)) == form_of(A1="1/2", F=1)
+    assert g.scale("1/2") == g.scale(Fraction(1, 2)) == CubicForm(A1="1/2", F=1)
 
 
 def test_mat3_refuses_floats_and_bools():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from cubicsym import Mat3, build_system, form_of, killing_operator, solve, \
+from cubicsym import CubicForm, Mat3, build_system, killing_operator, solve, \
     verify_killing
 from cubicsym.forms import SORTED_TRIPLES
 from cubicsym.linalg import in_span, rref, span_equal
@@ -52,7 +52,7 @@ def test_killing_operator_matches_oracle_and_is_symmetric():
 
 
 def test_killing_operator_examples():
-    bm = form_of(F=1)
+    bm = CubicForm(F=1)
     assert killing_operator(bm, Mat3.diag(1, -1, 0)).is_zero()
     rng = random.Random(43)
     for _ in range(20):
@@ -60,10 +60,10 @@ def test_killing_operator_examples():
         assert killing_operator(g, Mat3.identity()) == g.scale(3)
     # single entry A^1_2 = 1 against the sum of coordinate cubes: expanding
     # the three-term sum by hand leaves exactly the (112) component
-    cubes = form_of(A1=1, A2=1, A3=1)
+    cubes = CubicForm(A1=1, A2=1, A3=1)
     unit = Mat3([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     out = killing_operator(cubes, unit)
-    assert out == form_of(C1=1)
+    assert out == CubicForm(C1=1)
     assert not out.is_zero()
 
 
@@ -79,14 +79,14 @@ def test_killing_operator_bilinear():
 
 
 def test_build_system_zero_form():
-    system = build_system(form_of())
+    system = build_system(CubicForm())
     assert all(v == 0 for row in system.matrix for v in row)
 
 
 def test_build_system_row_order_and_bm_row():
     # row 4 is the (1,2,3) component; for the single-F form applied to a
     # diagonal field it reads a+b+c
-    system = build_system(form_of(F=1))
+    system = build_system(CubicForm(F=1))
     row = system.matrix[SORTED_TRIPLES.index((1, 2, 3))]
     assert list(row) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
     rng = random.Random(53)
@@ -128,7 +128,7 @@ def test_build_system_linear_in_form():
 
 
 def test_solve_bm():
-    algebra = solve(form_of(F=1))
+    algebra = solve(CubicForm(F=1))
     assert algebra.finite_nontrivial_dim == 2
     assert algebra.radical_basis == ()
     assert not algebra.has_infinite_family
@@ -137,14 +137,14 @@ def test_solve_bm():
 
 
 def test_solve_zero_form():
-    algebra = solve(form_of())
+    algebra = solve(CubicForm())
     assert algebra.kernel_dim == 9
     assert len(algebra.radical_basis) == 3
     assert algebra.finite_nontrivial_dim == 0
 
 
 def test_solve_sum_of_cubes_is_rigid():
-    algebra = solve(form_of(A1=1, A2=1, A3=1))
+    algebra = solve(CubicForm(A1=1, A2=1, A3=1))
     assert algebra.kernel_dim == 0
     assert algebra.finite_nontrivial_dim == 0
 
@@ -158,11 +158,11 @@ def test_solver_is_deterministic():
 
 def test_verify_killing_catalog_fields():
     # the (A1, B3) metric with X = x2 d2 - (x3/2) d3
-    assert verify_killing(form_of(A1=1, B3=1), Mat3.diag(0, 1, -Fraction(1, 2)))
+    assert verify_killing(CubicForm(A1=1, B3=1), Mat3.diag(0, 1, -Fraction(1, 2)))
     # the single-F form is scaled by the identity field, not preserved
-    assert not verify_killing(form_of(F=1), Mat3.identity())
+    assert not verify_killing(CubicForm(F=1), Mat3.identity())
     # the (F, A1, B1+) metric with X = x2 d2 - (x3 + x2) d3
-    g = form_of(A1=1, B1=1, F=1)
+    g = CubicForm(A1=1, B1=1, F=1)
     assert verify_killing(g, Mat3([[0, 0, 0], [0, 1, 0], [0, -1, -1]]))
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicsym import Mat3, bracket, colinearity, derived_algebra, form_of, \
+from cubicsym import CubicForm, Mat3, bracket, colinearity, derived_algebra, \
     invariants, solvable_pair, solve, structure_constants
 from cubicsym.liealg import DependentBasisError, NotClosedError, StructureConstants, \
     _nth_root
@@ -89,7 +89,7 @@ def test_structure_constants_abelian():
 
 
 def test_structure_constants_solvable_pair():
-    g = form_of(A1=1, B1=1, C2=1)
+    g = CubicForm(A1=1, B1=1, C2=1)
     X1, X2 = solvable_pair(list(solve(g).generators))
     sc = structure_constants([X1, X2])
     assert sc.c[1][0][1] == Fraction(3, 2)
@@ -175,7 +175,7 @@ def test_structure_constants_match_oracle():
 
 
 def test_structure_constants_antisymmetry_and_jacobi():
-    g = form_of(B1=1, B3=1)  # 2-dimensional nonabelian kernel
+    g = CubicForm(B1=1, B3=1)  # 2-dimensional nonabelian kernel
     basis = list(solve(g).generators)
     sc = structure_constants(basis)
     n = len(sc.c)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicsym import CubicForm, Mat3, bracket, catalog, classify, form_of, invariants, \
+from cubicsym import CubicForm, Mat3, bracket, catalog, classify, invariants, \
     killing_operator
 from cubicsym.liealg import StructureConstants
 from cubicsym.properties import random_form, random_invertible, random_matrix
@@ -91,7 +91,7 @@ def inexact(value, path="value"):
 
 def test_inexact_finds_floats():
     assert inexact(StructureConstants(c=(((Fraction(1), 0.5),),))) == ["value.c[0][0][1]: float"]
-    assert inexact(form_of(F=1)) == []
+    assert inexact(CubicForm(F=1)) == []
     assert inexact(Mat3.identity()) == []
 
 

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from cubicsym import CubicForm, Mat3, catalog, classify, compare, form_of, solve
+from cubicsym import CubicForm, Mat3, catalog, classify, compare, solve
 from cubicsym._record import record
 from cubicsym.classify import ComparisonVerdict, SymmetryClass
+from cubicsym.forms import COMPONENT_NAMES
 from cubicsym.killing import SymmetryAlgebra
 
 
@@ -43,6 +44,12 @@ class Parsed:
 
     def __init__(self, text):
         object.__setattr__(self, "a", int(text))
+
+
+@record
+class Cached:
+    a: int
+    __slots__ = ("cache",)
 
 
 @record
@@ -122,6 +129,21 @@ def test_record_keeps_the_methods_the_class_defines():
             del value.a
 
 
+def test_record_keeps_the_slots_the_class_declares():
+    value = Cached(1)
+    object.__setattr__(value, "cache", "report")
+    assert value.cache == "report" and not hasattr(Cached(1), "cache")
+    with pytest.raises(AttributeError):
+        value.cache = "other"
+    with pytest.raises(TypeError, match="'cache'"):
+        Cached(1, cache="report")
+    assert value == Cached(1) and hash(value) == hash((1,)) == hash(Cached(1))
+    assert repr(value) == "Cached(a=1)"
+    for duplicate in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+        assert duplicate == value and not hasattr(duplicate, "cache")
+
+
 def test_record_without_fields_is_refused():
     with pytest.raises(TypeError, match="annotates no fields"):
         @record
@@ -130,19 +152,21 @@ def test_record_without_fields_is_refused():
 
 
 def test_cubic_form():
-    g = form_of(A1=1, F=Fraction(-1, 2))
+    g = CubicForm(A1=1, F=Fraction(-1, 2))
     assert g == CubicForm(1, F="-1/2") == CubicForm(A1=Fraction(1), F=Fraction(-1, 2))
-    assert g != form_of(A1=1) and g != Mat3.identity() and g != g.to_json()
+    assert g != CubicForm(A1=1) and g != Mat3.identity() and g != g.to_json()
     assert hash(g) == hash(CubicForm(A1=1, F=Fraction(-1, 2)))
     assert isinstance(CubicForm(2).A1, Fraction) and CubicForm().F == 0
     assert repr(g) == "CubicForm(A1=1, F=-1/2)"
     assert repr(CubicForm()) == "CubicForm(0)"
+    assert hash(g) == hash(tuple(getattr(g, name) for name in COMPONENT_NAMES))
+    assert not hasattr(g, "__dict__")
     with pytest.raises(AttributeError):
         g.A1 = Fraction(2)
     with pytest.raises(AttributeError):
         del g.F
     # a stored report is not a component: equality and hash ignore it
-    h = form_of(A1=1, F=Fraction(-1, 2))
+    h = CubicForm(A1=1, F=Fraction(-1, 2))
     classify(g)
     assert g == h and hash(g) == hash(h)
 
@@ -150,7 +174,7 @@ def test_cubic_form():
 def test_mat3():
     m = Mat3.diag(1, Fraction(1, 2), -3)
     assert m == Mat3([[1, 0, 0], [0, "1/2", 0], [0, 0, -3]]) and m != Mat3.identity()
-    assert m != form_of(A1=1) and form_of(A1=1) != m and m != m.rows
+    assert m != CubicForm(A1=1) and CubicForm(A1=1) != m and m != m.rows
     assert hash(m) == hash(Mat3(m.rows)) != hash(Mat3.identity())
     assert repr(m) == "Mat3([[1, 0, 0], [0, 1/2, 0], [0, 0, -3]])"
     assert not hasattr(m, "__dict__")
@@ -164,10 +188,10 @@ def test_mat3():
 
 
 def test_symmetry_algebra():
-    algebra = solve(form_of(B1=1))
-    assert algebra == solve(form_of(B1=1))
-    assert algebra != solve(form_of(F=1))
-    assert hash(algebra) == hash(solve(form_of(B1=1)))
+    algebra = solve(CubicForm(B1=1))
+    assert algebra == solve(CubicForm(B1=1))
+    assert algebra != solve(CubicForm(F=1))
+    assert hash(algebra) == hash(solve(CubicForm(B1=1)))
     assert repr(algebra) == (
         "SymmetryAlgebra(generators=(Mat3([[-2, 0, 0], [0, 1, 0], [0, 0, 0]]), "
         "Mat3([[0, 0, 0], [0, 0, 0], [1, 0, 0]]), Mat3([[0, 0, 0], [0, 0, 0], [0, 1, 0]]), "
@@ -178,10 +202,10 @@ def test_symmetry_algebra():
 
 
 def test_classification_report():
-    report = classify(form_of(A1=1, F=1))
-    other = classify(form_of(A1=1, F=1))
+    report = classify(CubicForm(A1=1, F=1))
+    other = classify(CubicForm(A1=1, F=1))
     assert report is not other and report == other and hash(report) == hash(other)
-    assert report != classify(form_of(F=1))
+    assert report != classify(CubicForm(F=1))
     assert report != report.symmetry_class
     assert report.symmetry_class == SymmetryClass("5")
     assert report.symmetry_class != SymmetryClass("6")
@@ -198,7 +222,7 @@ def test_classification_report():
 
 
 def test_comparison_verdict():
-    verdict = compare(form_of(A1=1, F=1), form_of(A1=1, F=-1))
+    verdict = compare(CubicForm(A1=1, F=1), CubicForm(A1=1, F=-1))
     assert verdict == ComparisonVerdict(
         "POSSIBLY_EQUIVALENT", notes=("invariant series proportional with real constant",))
     assert verdict != ComparisonVerdict("POSSIBLY_EQUIVALENT")
@@ -207,7 +231,7 @@ def test_comparison_verdict():
     assert repr(verdict) == (
         "ComparisonVerdict(verdict='POSSIBLY_EQUIVALENT', witness=None, "
         "notes=('invariant series proportional with real constant',))")
-    assert repr(compare(form_of(F=1), form_of(A1=1, F=1))) == (
+    assert repr(compare(CubicForm(F=1), CubicForm(A1=1, F=1))) == (
         "ComparisonVerdict(verdict='NOT_EQUIVALENT', witness='symmetry class 1 vs 5', notes=())")
     with pytest.raises(AttributeError):
         verdict.verdict = "NOT_EQUIVALENT"
@@ -231,7 +255,7 @@ def test_catalog_branch():
 
 
 def test_pickle_and_copy():
-    g = form_of(A1=1, F=Fraction(-1, 2))
+    g = CubicForm(A1=1, F=Fraction(-1, 2))
     # the algebra and the report hold Mat3 generators, which pickle too
     values = [Pair(1, (2,)), g, Mat3.diag(1, Fraction(1, 2), -3), solve(g), classify(g),
               compare(g, g), catalog.get_entry("2.5").branches()[1]]
