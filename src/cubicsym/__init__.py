@@ -3,7 +3,7 @@
 The package computes, in exact rational arithmetic, the algebra of affine
 isometry generators (Killing fields) of a constant-coefficient cubic metric,
 its matrix invariants and Lie structure, classifies the metric into one of
-eight symmetry classes, and audits a built-in catalog of the canonical
+nine symmetry classes, and audits a built-in catalog of the canonical
 metrics with nontrivial symmetries.
 
 `import cubicsym` loads only the solver: forms, linalg, killing, liealg and

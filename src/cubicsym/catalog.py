@@ -662,7 +662,6 @@ CORRESPONDENCE_TABLE = {
     "4": ("IV",),
     "5": ("II", "X", "XI"),
     "6": (),
-    "7": (),
     "8": ("general", "I", "IX"),
 }
 
@@ -863,14 +862,13 @@ def verify_branch(entry, branch):
 
     expected = branch.expected
     computed_shape = (algebra.finite_nontrivial_dim, algebra.has_infinite_family)
-    # the catch-all class 7 fixes no shape, so only its label is compared
     shape = expected.shape
-    oracle_ok = report.symmetry_class == expected and shape in (None, computed_shape)
+    oracle_ok = report.symmetry_class == expected and shape == computed_shape
     if not oracle_ok:
-        fixed = "" if shape is None else f"dim={shape[0]}, inf={shape[1]}, "
         findings.append(("oracle", f"computed (dim={computed_shape[0]}, "
                                    f"inf={computed_shape[1]}, class={report.label}) != "
-                                   f"expected ({fixed}class={expected.label})"))
+                                   f"expected (dim={shape[0]}, inf={shape[1]}, "
+                                   f"class={expected.label})"))
 
     claim_ok = _claim_matches(branch.claim, algebra)
     if claim_ok is False:

@@ -1,6 +1,7 @@
 """Symmetry classification of cubic metrics.
 
-Eight classes, determined entirely by the computed symmetry algebra:
+Nine classes, determined entirely by the computed symmetry algebra (there
+is no class 7, see below):
 
     1     2-dimensional abelian
     2     2-dimensional nonabelian
@@ -10,15 +11,19 @@ Eight classes, determined entirely by the computed symmetry algebra:
     4     1-dimensional with nonzero divergence (I1 != 0)
     5     1-dimensional, I1 = 0, I2 > 0
     6     1-dimensional, I1 = 0, I2 < 0
-    7     anything not matching the patterns above (catch-all, always noted)
     8     no nontrivial symmetries
+
+Every real cubic form has one of these classes: with a trivial radical, no
+form has a 1-dimensional algebra with I1 = I2 = 0, nor a finite algebra of
+dimension 3 or more.  So class 7, a catch-all for those algebras, is empty;
+tests/test_class7.py holds the proof and its exact certificates.  classify
+raises RuntimeError should a computed algebra ever contradict it.
 
 Classes 5 and 6 are real forms of the same complex class: the proportionality
 constant linking their invariant series is imaginary, so each class reads
-its complex_equivalent_to twin from COMPLEX_TWINS.  Every class except the
-catch-all 7 fixes the finite dimension and the infinite family of its
-algebra, its shape (CLASS_SHAPES).  A SymmetryClass stores only its label
-and derives both.
+its complex_equivalent_to twin from COMPLEX_TWINS.  Every class fixes the
+finite dimension and the infinite family of its algebra, its shape
+(CLASS_SHAPES).  A SymmetryClass stores only its label and derives both.
 """
 
 from ._record import record
@@ -47,8 +52,8 @@ class SymmetryClass:
 
     @property
     def shape(self):
-        """(finite_nontrivial_dim, has_infinite_family), None for the catch-all 7."""
-        return CLASS_SHAPES.get(self.label)
+        """(finite_nontrivial_dim, has_infinite_family)."""
+        return CLASS_SHAPES[self.label]
 
 
 @record
@@ -95,11 +100,11 @@ def classify(form):
 
 def _classify(form):
     algebra = solve(form)
-    notes = []
     r = len(algebra.radical_basis)
     dim = algebra.finite_nontrivial_dim
 
     if r > 0:
+        notes = []
         if r >= 3:
             label = "3(1)"
             notes.append("degenerate input: the zero form carries the full radical")
@@ -116,28 +121,21 @@ def _classify(form):
 
     if dim == 1:
         series = invariants(algebra.generators[0])
-        if series.I[0] != 0:
-            label = "4"
-        elif series.I[1] > 0:
-            label = "5"
-        elif series.I[1] < 0:
-            label = "6"
-        else:
-            label = "7"
-            notes.append("1-dimensional algebra with nilpotent generator; "
-                         "outside the catalogued patterns")
-        return ClassificationReport(SymmetryClass(label), algebra,
-                                    invariant_series=series, notes=tuple(notes))
-
-    if dim == 2:
+        if series.I[0] != 0 or series.I[1] != 0:
+            label = "4" if series.I[0] != 0 else "5" if series.I[1] > 0 else "6"
+            return ClassificationReport(SymmetryClass(label), algebra,
+                                        invariant_series=series)
+    elif dim == 2:
         structure = structure_constants(list(algebra.generators))
         label = "1" if structure.is_zero() else "2"
-        return ClassificationReport(SymmetryClass(label), algebra,
-                                    structure=structure, notes=tuple(notes))
+        return ClassificationReport(SymmetryClass(label), algebra, structure=structure)
 
-    notes.append("unlisted nontrivial symmetries: finite algebra of dimension "
-                 f"{dim} with trivial radical")
-    return ClassificationReport(SymmetryClass("7"), algebra, notes=tuple(notes))
+    # only on this path, so that importing the package does not load json
+    import json
+    raise RuntimeError(
+        "no real cubic form has this symmetry algebra (class 7 is empty, see "
+        f"tests/test_class7.py): finite dimension {dim}, trivial radical; "
+        f"form {json.dumps(form.to_json())}")
 
 
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -158,10 +156,11 @@ class ComparisonVerdict:
 def compare(form1, form2):
     """Necessary conditions for affine equivalence; never claims equivalence.
 
-    Returns NOT_EQUIVALENT with a witness (class label, radical dimension,
-    finite symmetry dimension or failed colinearity) or POSSIBLY_EQUIVALENT
-    when every implemented invariant agrees.  Abelian and nonabelian algebras
-    need no check of their own: they carry different class labels, 1 and 2.
+    Returns NOT_EQUIVALENT with a witness (class label, radical dimension or
+    failed colinearity) or POSSIBLY_EQUIVALENT when every implemented
+    invariant agrees.  Abelian and nonabelian algebras need no check of
+    their own: they carry different class labels, 1 and 2.  Nor does the
+    finite dimension: every class fixes it.
     """
     rep1, rep2 = classify(form1), classify(form2)
     notes = []
@@ -178,11 +177,6 @@ def compare(form1, form2):
         return ComparisonVerdict(
             NOT_EQUIVALENT,
             witness=f"radical dimension {len(a1.radical_basis)} vs {len(a2.radical_basis)}")
-    if a1.finite_nontrivial_dim != a2.finite_nontrivial_dim:
-        return ComparisonVerdict(
-            NOT_EQUIVALENT,
-            witness=f"finite symmetry dimension {a1.finite_nontrivial_dim} "
-                    f"vs {a2.finite_nontrivial_dim}")
     if rep1.invariant_series is not None and rep2.invariant_series is not None:
         verdict = colinearity(rep1.invariant_series, rep2.invariant_series)
         # "complex" needs I2, I2' of opposite sign and no odd power: one label rules it out

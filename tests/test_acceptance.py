@@ -182,7 +182,7 @@ def test_projective_table():
     expected_rows = {
         "1": ["III", "XII"], "2": ["V"], "3(1)": ["VIII"],
         "3(2)": ["VI", "XIII"], "3(3)": ["VII"], "4": ["IV"],
-        "5": ["II"], "6": ["X", "XI"], "7": [],
+        "5": ["II"], "6": ["X", "XI"],
         "8": ["general", "I", "IX"],
     }
     for label, expected in expected_rows.items():

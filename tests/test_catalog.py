@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicsym import CubicForm, SymmetryClass, catalog, invariants, \
+from cubicsym import CubicForm, catalog, invariants, \
     solve, verify_killing
 from cubicsym.catalog import CORRESPONDENCE_TABLE, ENTRIES, \
     KNOWN_DISCREPANCIES, PROJECTIVE_ENTRIES, Branch, ParameterRangeError, \
@@ -16,7 +16,7 @@ from cubicsym.forms import scalar_to_json
 # SHA-256 of json.dumps(export_catalog(), indent=1, sort_keys=True) + "\n".
 # Any change to a recorded catalog fact changes it; re-pin it on purpose.
 CATALOG_IMAGE_SHA256 = \
-    "9ec2211dd61b1935c62b2f4f5ca92ec6ad32f59aaef8e7a42741ec9e60c6a873"
+    "c6ba5b87aac2a156a0d81fcbe14b7492ded75c5416d91411975eeb3aa8d7bd0a"
 
 
 def export_catalog():
@@ -292,16 +292,3 @@ def test_audit_files_each_finding_kind_as_unknown(monkeypatch):
     [report] = catalog.verify_projective(three)
     assert report.computed_class == "1" and report.known_issues == ()
     assert report.unknown_issues == ("class: computed 1 != expected 8",)
-
-
-def test_audit_expecting_the_catch_all_class_files_an_oracle_finding():
-    # class 7 fixes no shape, so only the labels are compared
-    entry = get_entry("1.1")
-    params = entry.resolve_params()
-    seven = Branch("seven", params, "2", SymmetryClass("7"), 1)
-    report = verify_branch(entry, seven)
-    assert not report.oracle_ok and report.status == "DISCREPANCY"
-    assert report.findings == (
-        ("oracle", "computed (dim=2, inf=False, class=1) != expected (class=7)"),)
-    assert report.unknown_issues == (
-        "oracle: computed (dim=2, inf=False, class=1) != expected (class=7)",)

@@ -18,7 +18,7 @@ from cubicsym.forms import COMPONENT_NAMES, TRIPLE_TO_NAME
 
 LABELS = Path(__file__).resolve().parent.parent / "perfbench" / "census_labels.txt"
 CODES = {"1": "1", "2": "2", "a": "3(1)", "b": "3(2)", "c": "3(3)",
-         "4": "4", "5": "5", "6": "6", "7": "7", "8": "8"}
+         "4": "4", "5": "5", "6": "6", "8": "8"}
 HISTOGRAM = {"8": 53624, "4": 2304, "5": 1476, "3(2)": 588, "2": 504, "6": 312,
              "3(3)": 108, "1": 106, "3(1)": 27}
 N = 3 ** 10

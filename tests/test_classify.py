@@ -53,9 +53,17 @@ def test_classify_evidence_fields():
 
 
 def test_class_shapes_match_computed_algebras():
-    # every class but the catch-all 7 fixes the algebra's shape and twin
+    # every class fixes the algebra's shape and twin, so compare needs no
+    # finite-dimension witness.  _classify's branches fix the shape of all
+    # but 3(1) and 3(3).  A 3(1) form is the cube of a linear form (kernel
+    # 6) or the zero form (kernel 9): finite dimension 0.  With a radical of
+    # dimension 1 the finite part is the gl2 stabilizer of a binary cubic
+    # that is not a cube, of dimension 0 or 1; y^2 z (kernel 4) has the 1
+    exact = {CubicForm(): 9, CubicForm(A1=1): 6, CubicForm(C3=1): 4}
+    for g, kernel in exact.items():
+        assert classify(g).algebra.kernel_dim == kernel, g.to_json()
     rng = random.Random(2024)
-    forms = []
+    forms = list(exact)
     for _ in range(150):
         g = random_form(rng)
         forms += [g, g.pullback(random_invertible(rng)),
@@ -63,8 +71,6 @@ def test_class_shapes_match_computed_algebras():
     seen = set()
     for g in forms:
         report = classify(g)
-        if report.label == "7":
-            continue
         seen.add(report.label)
         algebra = report.algebra
         assert (algebra.finite_nontrivial_dim, algebra.has_infinite_family) == \
