@@ -21,14 +21,17 @@ raises RuntimeError should a computed algebra ever contradict it.
 
 Classes 5 and 6 are real forms of the same complex class: the proportionality
 constant linking their invariant series is imaginary, so each class reads
-its complex_equivalent_to twin from COMPLEX_TWINS.  Every class fixes the
-finite dimension and the infinite family of its algebra, its shape
-(CLASS_SHAPES).  A SymmetryClass stores only its label and derives both.
+its complex_equivalent_to twin from COMPLEX_TWINS.  Within each class 4, 5
+and 6 the series are proportional with a real constant (the proof is in
+tests/test_series_classes.py), so compare's witnesses are the class label
+and the radical dimension.  Every class fixes the finite dimension and the
+infinite family of its algebra, its shape (CLASS_SHAPES).  A SymmetryClass
+stores only its label and derives both.
 """
 
 from ._record import record
 from .killing import solve
-from .liealg import colinearity, invariants, structure_constants
+from .liealg import invariants, structure_constants
 
 
 # class label -> (finite_nontrivial_dim, has_infinite_family)
@@ -156,11 +159,12 @@ class ComparisonVerdict:
 def compare(form1, form2):
     """Necessary conditions for affine equivalence; never claims equivalence.
 
-    Returns NOT_EQUIVALENT with a witness (class label, radical dimension or
-    failed colinearity) or POSSIBLY_EQUIVALENT when every implemented
-    invariant agrees.  Abelian and nonabelian algebras need no check of
-    their own: they carry different class labels, 1 and 2.  Nor does the
-    finite dimension: every class fixes it.
+    Returns NOT_EQUIVALENT with a witness (class label or radical
+    dimension) or POSSIBLY_EQUIVALENT when every implemented invariant
+    agrees.  Abelian and nonabelian algebras need no check of their own:
+    they carry different class labels, 1 and 2.  Nor do the finite
+    dimension, which every class fixes, and the invariant series, which
+    are real-proportional within each class 4, 5 and 6.
     """
     rep1, rep2 = classify(form1), classify(form2)
     notes = []
@@ -177,12 +181,7 @@ def compare(form1, form2):
         return ComparisonVerdict(
             NOT_EQUIVALENT,
             witness=f"radical dimension {len(a1.radical_basis)} vs {len(a2.radical_basis)}")
-    if rep1.invariant_series is not None and rep2.invariant_series is not None:
-        verdict = colinearity(rep1.invariant_series, rep2.invariant_series)
-        # "complex" needs I2, I2' of opposite sign and no odd power: one label rules it out
-        if verdict.kind != "real":
-            return ComparisonVerdict(
-                NOT_EQUIVALENT,
-                witness=f"invariant series are not proportional ({verdict.reason})")
+    if rep1.invariant_series is not None:
+        # one class 4, 5 or 6 fixes the spectrum up to a real factor
         notes.append("invariant series proportional with real constant")
     return ComparisonVerdict(POSSIBLY_EQUIVALENT, notes=tuple(notes))

@@ -182,61 +182,35 @@ def colinearity(s1, s2):
     Generators are only defined up to scale, so this is the natural
     necessary condition for equivalence of the underlying metrics; the
     verdict reports the scale class rather than normalizing either side.
+    It requires c_k = C^k c'_k for the coefficients c_1..c_3 of charpoly.
+    By Newton's identities that holds iff I_n = C^n I'_n for every n and
+    Delta = C^3 Delta', so a hand-built InvariantSeries whose I3..I6 break
+    the trace recursion is judged on I1, I2 and Delta alone, as its charpoly
+    is.
     """
-    constraints = [(s1.I[n], s2.I[n], n + 1) for n in range(6)]
-    constraints.append((s1.delta, s2.delta, 3))
-    for a, b, _ in constraints:
-        if (a == 0) != (b == 0):
-            return ColinearityVerdict(kind="none", reason="zero patterns differ")
-    active = [(Fraction(a) / Fraction(b), n) for a, b, n in constraints if a != 0]
+    pairs = list(zip(s1.charpoly[1:], s2.charpoly[1:]))
+    if any((a == 0) != (b == 0) for a, b in pairs):
+        return ColinearityVerdict(kind="none", reason="zero patterns differ")
+    active = [(a / b, k) for k, (a, b) in enumerate(pairs, start=1) if a != 0]
     if not active:
         return ColinearityVerdict(kind="real", C=Fraction(1),
                                   reason="all invariants vanish")
-    # magnitude consistency: |C|^n is pinned by every active ratio
-    for i in range(len(active)):
-        ri, ni = active[i]
-        for j in range(i + 1, len(active)):
-            rj, nj = active[j]
-            if abs(ri) ** nj != abs(rj) ** ni:
-                return ColinearityVerdict(kind="none", reason="ratios are inconsistent")
-    odd = [(r, n) for r, n in active if n % 2 == 1]
+    # each ratio is C^k, so r = C^k and q = C^m need r^m = q^k
+    if any(r ** m != q ** k for i, (r, k) in enumerate(active) for q, m in active[i + 1:]):
+        return ColinearityVerdict(kind="none", reason="ratios are inconsistent")
+    odd = [(r, k) for r, k in active if k != 2]
     if odd:
-        signs = {r > 0 for r, _ in odd}
-        if len(signs) > 1:
-            return ColinearityVerdict(kind="none", reason="odd-power signs conflict")
-        even_bad = any(r < 0 for r, n in active if n % 2 == 0)
-        if even_bad:
-            return ColinearityVerdict(kind="none",
-                                      reason="negative even-power ratio with odd data")
-        r, n = odd[0]
-        witness = _nth_root(r, n)
+        # a real k-th root of an odd-power ratio, which the others agree with
+        witness = _nth_root(*odd[0])
         return ColinearityVerdict(kind="real", C=witness,
                                   reason="determined by an odd power"
                                   + ("" if witness is not None else " (irrational C)"))
-    # only even powers active: C^2 is pinned down (up to sign when only I4)
-    by_power = {n: r for r, n in active}
-    if any(by_power.get(n, Fraction(1)) < 0 for n in (4,)):
-        return ColinearityVerdict(kind="none", reason="negative fourth-power ratio")
-    if 2 in by_power:
-        c2 = by_power[2]
-    elif 6 in by_power:
-        c2 = _nth_root(by_power[6], 3)
-        if c2 is None:
-            kind = "real" if by_power[6] > 0 else "complex"
-            return ColinearityVerdict(kind=kind, reason="irrational C^2 from sixth power")
-    else:
-        c2 = _nth_root(by_power[4], 2)
-        if c2 is None:
-            return ColinearityVerdict(kind="real",
-                                      reason="C^2 determined only up to sign (irrational)")
-    for r, n in active:
-        if c2 ** (n // 2) != r:
-            return ColinearityVerdict(kind="none", reason="ratios are inconsistent")
+    # only c_2 is active, and it pins C^2
+    c2 = active[0][0]
     if c2 < 0:
         return ColinearityVerdict(kind="complex", C_squared=c2,
                                   reason="forced C^2 is negative")
-    root = _nth_root(c2, 2)
-    return ColinearityVerdict(kind="real", C=root, C_squared=c2,
+    return ColinearityVerdict(kind="real", C=_nth_root(c2, 2), C_squared=c2,
                               reason="determined up to sign by even powers")
 
 

@@ -69,19 +69,14 @@ def rref(matrix):
     return reduced, pivots
 
 
-def nullspace(matrix, ncols=None):
-    """Canonical basis of the right kernel.
+def nullspace(matrix, ncols):
+    """Canonical basis of the right kernel of a matrix with ncols columns.
 
     For each free column f the basis vector has a 1 in position f and the
     negated reduced-echelon entries in the pivot positions.  Basis vectors
     are ordered by increasing free column.
     """
-    rows = [list(row) for row in matrix]
-    if ncols is None:
-        if not rows:
-            raise ValueError("nullspace of an empty matrix needs ncols")
-        ncols = len(rows[0])
-    red, pivots = rref(rows)
+    red, pivots = rref(matrix)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

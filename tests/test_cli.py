@@ -158,6 +158,21 @@ def test_compare(files, capsys):
         "note: classes 5 and 6 are complex-equivalent: the proportionality constant "
         "is imaginary",
     ]
+    # a class-5 form and its pullback by a rational T: one class, so the
+    # series are real-proportional and the verdict notes it
+    g = CubicForm(A1=1, F=1)
+    T = Mat3([[1, "1/2", 0], [0, 2, -1], [1, 0, "1/3"]])
+    g_path, h_path = files("g.json", g.to_json()), files("h.json", g.pullback(T).to_json())
+    code, out, _ = run(capsys, "compare", "--form", g_path, "--other", h_path)
+    assert code == 0
+    assert out.splitlines() == [
+        "POSSIBLY_EQUIVALENT",
+        "note: invariant series proportional with real constant",
+    ]
+    code, out, _ = run(capsys, "compare", "--form", g_path, "--other", h_path, "--json")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "POSSIBLY_EQUIVALENT", "witness": None,
+                               "notes": ["invariant series proportional with real constant"]}
 
 
 def test_malformed_form_reports_key(files, capsys):
@@ -165,6 +180,15 @@ def test_malformed_form_reports_key(files, capsys):
     code, _, err = run(capsys, "classify", "--form", bad)
     assert code == 1
     assert "Q9" in err
+
+
+def test_form_that_is_not_an_object_is_an_input_error(files, capsys):
+    array = files("array.json", [1, 2])
+    code, out, err = run(capsys, "classify", "--form", array)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "form JSON must be an object" in err
 
 
 def test_matrix_with_flat_row_is_an_input_error(files, capsys):

@@ -455,6 +455,12 @@ def test_mat3_refuses_floats_and_bools():
     assert Mat3.diag(1, "1/2", Fraction(3)) == Mat3([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 3]])
 
 
+def test_mat3_needs_a_3x3_array():
+    for bad in ([[1, 2], [3, 4]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]]):
+        with pytest.raises(ValueError, match="3x3"):
+            Mat3(bad)
+
+
 def test_mat3_scale_refuses_floats_and_bools():
     for bad in INEXACT:
         with pytest.raises(TypeError):

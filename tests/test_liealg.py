@@ -1,17 +1,18 @@
 """Brackets, structure constants, invariant series and colinearity."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cubicsym import CubicForm, Mat3, bracket, colinearity, derived_algebra, \
     invariants, solvable_pair, solve, structure_constants
-from cubicsym.liealg import DependentBasisError, NotClosedError, StructureConstants, \
-    _nth_root
+from cubicsym.liealg import ColinearityVerdict, DependentBasisError, NotClosedError, \
+    StructureConstants, _nth_root
 from cubicsym.catalog import ENTRIES
 from cubicsym.linalg import coordinates_in_span, echelon_basis, rref
-from cubicsym.properties import random_form, random_matrix
+from cubicsym.properties import random_form, random_invertible, random_matrix
 
 
 def rank(vectors):
@@ -248,7 +249,15 @@ def test_colinearity_complex_between_boost_and_rotation():
 def test_colinearity_zero_pattern_mismatch():
     a = invariants(Mat3.diag(0, 1, -1))
     b = invariants(Mat3.diag(-2, 1, 0))
-    assert colinearity(a, b).kind == "none"
+    assert colinearity(a, b) == ColinearityVerdict(kind="none", reason="zero patterns differ")
+
+
+def test_colinearity_inconsistent_ratios():
+    # c_1 and c_2 are both nonzero, but their ratios 1/2 and 2/3 fit no C
+    a = invariants(Mat3.diag(0, 1, -2))
+    b = invariants(Mat3.diag(0, 1, -3))
+    assert colinearity(a, b) == ColinearityVerdict(kind="none",
+                                                   reason="ratios are inconsistent")
 
 
 def test_colinearity_all_zero():
@@ -271,6 +280,132 @@ def test_colinearity_irrational_real_scale():
     assert verdict.kind == "real"
     assert verdict.C_squared == 3
     assert verdict.C is None
+
+
+def _colinearity_reference(s1, s2):
+    """colinearity as it was when it decided on the seven ratios of I1..I6
+    and Delta, kept as the oracle of the test below."""
+    constraints = [(s1.I[n], s2.I[n], n + 1) for n in range(6)]
+    constraints.append((s1.delta, s2.delta, 3))
+    for a, b, _ in constraints:
+        if (a == 0) != (b == 0):
+            return ColinearityVerdict(kind="none", reason="zero patterns differ")
+    active = [(Fraction(a) / Fraction(b), n) for a, b, n in constraints if a != 0]
+    if not active:
+        return ColinearityVerdict(kind="real", C=Fraction(1),
+                                  reason="all invariants vanish")
+    # magnitude consistency: |C|^n is pinned by every active ratio
+    for i in range(len(active)):
+        ri, ni = active[i]
+        for j in range(i + 1, len(active)):
+            rj, nj = active[j]
+            if abs(ri) ** nj != abs(rj) ** ni:
+                return ColinearityVerdict(kind="none", reason="ratios are inconsistent")
+    odd = [(r, n) for r, n in active if n % 2 == 1]
+    if odd:
+        signs = {r > 0 for r, _ in odd}
+        if len(signs) > 1:
+            return ColinearityVerdict(kind="none", reason="odd-power signs conflict")
+        even_bad = any(r < 0 for r, n in active if n % 2 == 0)
+        if even_bad:
+            return ColinearityVerdict(kind="none",
+                                      reason="negative even-power ratio with odd data")
+        r, n = odd[0]
+        witness = _nth_root(r, n)
+        return ColinearityVerdict(kind="real", C=witness,
+                                  reason="determined by an odd power"
+                                  + ("" if witness is not None else " (irrational C)"))
+    # only even powers active: C^2 is pinned down (up to sign when only I4)
+    by_power = {n: r for r, n in active}
+    if any(by_power.get(n, Fraction(1)) < 0 for n in (4,)):
+        return ColinearityVerdict(kind="none", reason="negative fourth-power ratio")
+    if 2 in by_power:
+        c2 = by_power[2]
+    elif 6 in by_power:
+        c2 = _nth_root(by_power[6], 3)
+        if c2 is None:
+            kind = "real" if by_power[6] > 0 else "complex"
+            return ColinearityVerdict(kind=kind, reason="irrational C^2 from sixth power")
+    else:
+        c2 = _nth_root(by_power[4], 2)
+        if c2 is None:
+            return ColinearityVerdict(kind="real",
+                                      reason="C^2 determined only up to sign (irrational)")
+    for r, n in active:
+        if c2 ** (n // 2) != r:
+            return ColinearityVerdict(kind="none", reason="ratios are inconsistent")
+    if c2 < 0:
+        return ColinearityVerdict(kind="complex", C_squared=c2,
+                                  reason="forced C^2 is negative")
+    root = _nth_root(c2, 2)
+    return ColinearityVerdict(kind="real", C=root, C_squared=c2,
+                              reason="determined up to sign by even powers")
+
+
+def _special_matrix(rng):
+    """A matrix from a family that random draws rarely reach: nilpotent or
+    zero, spectrum 0 and +-sqrt(pq) (a boost or a rotation), the cube roots
+    of d, a multiple of a class-4 or class-5 generator, or a companion
+    matrix whose characteristic polynomial has coefficients in {-1, 0, 1},
+    so that two of them often have ratios of equal size and clashing sign."""
+    c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)), rng.randint(1, 4))
+    unit = [rng.choice((-1, 0, 1)) for _ in range(3)]
+    return rng.choice((
+        Mat3.zero(), Mat3([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        Mat3([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        Mat3([[0, c, 0], [rng.choice((-3, -2, -1, 1, 2, 3)), 0, 0], [0, 0, 0]]),
+        Mat3([[0, 0, c], [1, 0, 0], [0, 1, 0]]),
+        Mat3([[0, 0, unit[0]], [1, 0, unit[1]], [0, 1, unit[2]]]),
+        Mat3.diag(0, c, -2 * c), Mat3.diag(0, c, -c)))
+
+
+def test_colinearity_matches_the_seven_ratio_oracle():
+    """On series of matrices, deciding on c_1..c_3 gives the verdict of the
+    seven ratios: the same kind, C and C_squared, and the same reason
+    wherever a real or an imaginary C exists."""
+    rng = random.Random(2024)
+    # unimodular frames keep a conjugate integral: P A P^-1 with P^-1 integral
+    frames = []
+    while len(frames) < 12:
+        P = random_invertible(rng)
+        if abs(P.det()) == 1:
+            frames.append((P, P.inverse()))
+    groups = []
+    for _ in range(700):
+        draw = rng.choice((random_matrix, rational_matrix, _special_matrix))
+        A = draw(rng)
+        P, P_inv = rng.choice(frames)
+        i, j = rng.randrange(3), rng.randrange(3)
+        rows = [list(row) for row in A.rows]
+        rows[i][j] += rng.choice((-2, -1, 1, 2))
+        scale = Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 5)), rng.randint(1, 3))
+        groups.append([invariants(M) for M in
+                       (A, (P @ A @ P_inv).scale(scale), Mat3(rows))])
+    boost, rotation = Mat3.diag(0, 1, -1), Mat3([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+    special = [  # nilpotent, boost vs rotation, C = sqrt 3 and C = cbrt 2
+        (Mat3([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), Mat3([[0, 1, 0], [0, 0, 1], [0, 0, 0]])),
+        (Mat3([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), boost),
+        (boost, rotation), (rotation, boost),
+        (Mat3([[0, 3, 0], [1, 0, 0], [0, 0, 0]]), boost),
+        (Mat3([[0, 0, 2], [1, 0, 0], [0, 1, 0]]), Mat3([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))]
+    pairs = [(invariants(A), invariants(B)) for A, B in special]
+    pairs += [(g[0], s) for g in groups for s in g[1:]]
+    pairs += [(s, g[0]) for g in groups for s in g[1:]]
+    pool = [s for g in groups for s in g]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(10_000 - len(pairs))]
+    kinds = Counter()
+    for s1, s2 in pairs:
+        new, old = colinearity(s1, s2), _colinearity_reference(s1, s2)
+        assert (new.kind, new.C, new.C_squared) == (old.kind, old.C, old.C_squared), \
+            (s1, s2, new, old)
+        if old.kind != "none":
+            assert new.reason == old.reason, (s1, s2, new, old)
+        kinds[old.reason] += 1
+    assert len(pairs) == 10_000
+    # every reason a real or an imaginary C can give is reached
+    assert {"all invariants vanish", "determined by an odd power",
+            "determined by an odd power (irrational C)",
+            "determined up to sign by even powers", "forced C^2 is negative"} <= set(kinds)
 
 
 def test_nth_root_is_exact_for_huge_powers():
