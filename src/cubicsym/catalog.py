@@ -85,11 +85,6 @@ class CatalogEntry:
     def defaults(self):
         return {p.name: p.default for p in self.params}
 
-    def instantiate(self, overrides=None):
-        """Concrete CubicForm at the given parameter assignment."""
-        params = self.resolve_params(overrides)
-        return self.build(params)
-
     def resolve_params(self, overrides=None):
         params = self.defaults()
         for name, value in (overrides or {}).items():

@@ -21,6 +21,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from operator import attrgetter
 
 from ._record import record
@@ -330,20 +331,6 @@ class CubicForm:
         return f"CubicForm({self.describe()})"
 
 
-def _canonical_columns(radius):
-    """Nonzero integer 3-vectors with entries in [-radius, radius], first
-    nonzero entry positive (column sign is irrelevant to the nonzero count)."""
-    cols = []
-    rng = range(-radius, radius + 1)
-    for v in product(rng, repeat=3):
-        if v == (0, 0, 0):
-            continue
-        lead = next(x for x in v if x != 0)
-        if lead > 0:
-            cols.append(v)
-    return cols
-
-
 def _full_tensor(flat):
     """The 3x3x3 tensor T[d][e][f] = flat[position of the sorted (d+1, e+1, f+1)]
     of a component vector over SORTED_TRIPLES."""
@@ -360,11 +347,15 @@ def _int_tensor(form):
 @lru_cache(maxsize=4)
 def _frame_tables(radius):
     """The tables of the frame search that depend only on the radius:
-    (cols, monos, after, unit).  cols are the canonical columns, monos[u] the
-    quadratic monomials u_d u_e of column u in the order 11, 12, 13, 22, 23,
-    33, after[u] the mask of the columns after column u and unit[u] the bit
-    1 << u of column u, for every column of the radius."""
-    cols = tuple(_canonical_columns(radius))
+    (cols, monos, after, unit).  cols are the primitive canonical columns:
+    the integer 3-vectors with entries in [-radius, radius], first nonzero
+    entry positive and gcd 1 (gcd(0, 0, 0) = 0 drops the zero vector), in
+    lexicographic order.  monos[u] holds the quadratic monomials u_d u_e of
+    column u in the order 11, 12, 13, 22, 23, 33, after[u] the mask of the
+    columns after column u and unit[u] the bit 1 << u of column u."""
+    rng = range(-radius, radius + 1)
+    cols = tuple(v for v in product(rng, repeat=3)
+                 if gcd(*v) == 1 and next(x for x in v if x) > 0)
     monos = tuple((u0 * u0, u0 * u1, u0 * u2, u1 * u1, u1 * u2, u2 * u2)
                   for u0, u1, u2 in cols)
     unit = tuple(1 << i for i in range(len(cols)))
@@ -429,12 +420,13 @@ def tau0_upper_bound(form, radius):
     non-increasing in the radius; the identity frame is always considered, so
     the bound never exceeds the current affine type.
 
-    Frames are column triples a < b < c of canonical columns.  Nine of the ten
-    pulled-back components have the shape G(u,u,v): A1..A3 = G(x,x,x),
-    C1 = G(a,a,b), C2 = G(a,a,c), C3 = G(b,b,c), B1 = G(b,b,a), B2 = G(c,c,a)
-    and B3 = G(c,c,b).  So besides F = G(a,b,c) a frame has
-    d(a) + d(b) + d(c) + t(a,b) + t(a,c) + t(b,c) nonzero components, with
-    d(u) = [G(u,u,u) != 0] and t(u,v) = [G(u,u,v) != 0] + [G(v,v,u) != 0].
+    Frames are column triples a < b < c of primitive canonical columns
+    (_frame_tables).  Nine of the ten pulled-back components have the shape
+    G(u,u,v): A1..A3 = G(x,x,x), C1 = G(a,a,b), C2 = G(a,a,c), C3 = G(b,b,c),
+    B1 = G(b,b,a), B2 = G(c,c,a) and B3 = G(c,c,b).  So besides F = G(a,b,c)
+    a frame has d(a) + d(b) + d(c) + t(a,b) + t(a,c) + t(b,c) nonzero
+    components, with d(u) = [G(u,u,u) != 0] and
+    t(u,v) = [G(u,u,v) != 0] + [G(v,v,u) != 0].
 
     Per radius (_frame_tables): the columns, their quadratic monomials, the
     masks of later columns and the unit bit of each column.  Per radius and
@@ -449,6 +441,18 @@ def tau0_upper_bound(form, radius):
     for a first column with a candidate pair, G(a,b,.) only for a pair with a
     candidate c, and the determinant only for a triple that would improve the
     bound, so the first strictly improving frame in enumeration order wins.
+
+    Leaving out the non-primitive columns changes no (bound, witness).  A
+    column's sign changes no zero component, and neither does a factor k > 1:
+    each pulled-back component is multiplied by a power of k when a column p
+    becomes k p, and so is the determinant.  So a frame holding k p has the
+    count of the frame holding p instead, and both are invertible or neither
+    (p itself is not in an invertible frame with k p).  p comes before k p in
+    the enumeration, so the second frame, sorted, comes before the first.  As
+    the search accepts only strict improvements and prunes only triples that
+    cannot improve the bound, it returns the identity or the first frame of
+    least count in enumeration order, and that frame holds no non-primitive
+    column.
     """
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
         raise ValueError("radius must be an int >= 1")

@@ -25,6 +25,11 @@ from cubicsym.properties import (suite_cayley_hamilton,
                                  suite_radical_covariance)
 
 
+def instantiate(entry, overrides=None):
+    """Concrete CubicForm of the entry at the given parameter assignment."""
+    return entry.build(entry.resolve_params(overrides))
+
+
 @pytest.fixture(scope="module")
 def audit():
     return verify_all()
@@ -91,13 +96,13 @@ def test_commutator_structure():
     abelian_cases = [("1.1", {}), ("2.2", {}), ("2.5", {"eps": 1}),
                      ("2.5", {"eps": -1}), ("3.3", {"eps": -1}), ("3.5", {})]
     for cid, overrides in abelian_cases:
-        algebra = solve(get_entry(cid).instantiate(overrides))
+        algebra = solve(instantiate(get_entry(cid), overrides))
         assert algebra.finite_nontrivial_dim == 2, cid
         assert structure_constants(list(algebra.generators)).is_zero(), cid
         assert derived_algebra(list(algebra.generators)) == [], cid
     # the other sign branch of 3.3 degenerates to an infinite family; its
     # ledger entry records the resolution
-    degenerate = solve(get_entry("3.3").instantiate({"eps": 1}))
+    degenerate = solve(instantiate(get_entry("3.3"), {"eps": 1}))
     assert degenerate.has_infinite_family
     assert degenerate.finite_nontrivial_dim == 1
     assert ("3.3", "dimension") in KNOWN_DISCREPANCIES
@@ -105,7 +110,7 @@ def test_commutator_structure():
     nonabelian_cases = [("2.6", {}), ("3.9", {"eps": 1}), ("3.9", {"eps": -1}),
                         ("3.13", {"eps": 1}), ("3.13", {"eps": -1}), ("4.9", {})]
     for cid, overrides in nonabelian_cases:
-        algebra = solve(get_entry(cid).instantiate(overrides))
+        algebra = solve(instantiate(get_entry(cid), overrides))
         assert algebra.finite_nontrivial_dim == 2, cid
         basis = list(algebra.generators)
         assert not structure_constants(basis).is_zero(), cid
@@ -127,7 +132,7 @@ def test_invariant_tables(audit):
             checked += 1
     assert checked >= 27
     # spot checks straight from the closed forms
-    series = invariants(solve(get_entry("2.1").instantiate()).generators[0])
+    series = invariants(solve(instantiate(get_entry("2.1"))).generators[0])
     assert list(series.I) == [0, 2, 0, 2, 0, 2] and series.delta == 0
     entry = get_entry("2.4")
     series = invariants(entry.inv_matrix(entry.defaults()))
@@ -155,16 +160,16 @@ def test_boundary_degenerations():
     """Parameter loci where the symmetry algebra jumps."""
     inf = get_entry("4.1")
     for signs in ((1, 1), (-1, -1)):
-        algebra = solve(inf.instantiate({"F": 1, "eps1": signs[0],
-                                         "eps2": signs[1]}))
+        algebra = solve(instantiate(inf, {"F": 1, "eps1": signs[0],
+                                          "eps2": signs[1]}))
         assert algebra.has_infinite_family
-        assert classify(inf.instantiate({"F": 1, "eps1": signs[0],
-                                         "eps2": signs[1]})).label == "3(2)"
+        assert classify(instantiate(inf, {"F": 1, "eps1": signs[0],
+                                          "eps2": signs[1]})).label == "3(2)"
     two_dim = [("4.3", {"F": 1, "eps": 1}), ("4.10", {"B": 0}),
                ("5.3", {"C2": 2, "C3": Fraction(1, 2)}), ("5.4", {"C3": 1}),
                ("6.1", {"C3": 4})]
     for cid, overrides in two_dim:
-        form = get_entry(cid).instantiate(overrides)
+        form = instantiate(get_entry(cid), overrides)
         report = classify(form)
         assert report.label == "2", cid
         basis = list(report.algebra.generators)
@@ -251,9 +256,9 @@ def test_colinearity_groups():
             verdict = colinearity(series[i][1], series[j][1])
             assert verdict.kind == "real", (series[i][0], series[j][0])
             assert verdict.C is not None
-    boost = invariants(solve(get_entry("2.1").instantiate()).generators[0])
+    boost = invariants(solve(instantiate(get_entry("2.1"))).generators[0])
     entry = get_entry("3.8")
-    rotation_form = entry.instantiate({"eps1": 1, "eps2": 1})
+    rotation_form = instantiate(entry, {"eps1": 1, "eps2": 1})
     rotation = invariants(entry.inv_matrix({"eps1": Fraction(1),
                                             "eps2": Fraction(1)}))
     assert classify(rotation_form).label == "6"

@@ -13,6 +13,12 @@ from cubicsym.catalog import CORRESPONDENCE_TABLE, ENTRIES, \
     get_entry, projective_table, verify_all, verify_branch, verify_entry
 from cubicsym.forms import scalar_to_json
 
+
+def instantiate(entry, overrides=None):
+    """Concrete CubicForm of the entry at the given parameter assignment."""
+    return entry.build(entry.resolve_params(overrides))
+
+
 # SHA-256 of json.dumps(export_catalog(), indent=1, sort_keys=True) + "\n".
 # Any change to a recorded catalog fact changes it; re-pin it on purpose.
 CATALOG_IMAGE_SHA256 = \
@@ -86,8 +92,8 @@ def test_catalog_has_41_affine_entries():
 
 
 def test_instantiate_examples():
-    assert get_entry("1.1").instantiate() == CubicForm(F=1)
-    assert get_entry("3.8").instantiate({"eps1": 1, "eps2": -1}) == \
+    assert instantiate(get_entry("1.1")) == CubicForm(F=1)
+    assert instantiate(get_entry("3.8"), {"eps1": 1, "eps2": -1}) == \
         CubicForm(A1=1, B1=1, B2=-1)
     three = next(e for e in catalog.PROJECTIVE_ENTRIES if e.id == "III")
     assert three.build({}) == CubicForm(F=1)
@@ -95,13 +101,13 @@ def test_instantiate_examples():
 
 def test_instantiate_validates_parameters():
     with pytest.raises(ParameterRangeError):
-        get_entry("3.8").instantiate({"eps1": 2})
+        instantiate(get_entry("3.8"), {"eps1": 2})
     with pytest.raises(ParameterRangeError):
-        get_entry("4.1").instantiate({"F": 0})
+        instantiate(get_entry("4.1"), {"F": 0})
     with pytest.raises(ParameterRangeError):
-        get_entry("4.1").instantiate({"bogus": 1})
+        instantiate(get_entry("4.1"), {"bogus": 1})
     # the one rational parameter whose vanishing is itself a catalogued case
-    assert get_entry("4.10").instantiate({"B": 0}) == CubicForm(B2=1, C1=1, C2=1)
+    assert instantiate(get_entry("4.10"), {"B": 0}) == CubicForm(B2=1, C1=1, C2=1)
 
 
 def test_parameters_refuse_floats_and_bools():
@@ -111,7 +117,7 @@ def test_parameters_refuse_floats_and_bools():
             get_entry("4.1").resolve_params(overrides)
     for overrides in ({"eps1": True}, {"eps1": 1.0}):
         with pytest.raises(TypeError):
-            get_entry("3.8").instantiate(overrides)
+            instantiate(get_entry("3.8"), overrides)
     assert get_entry("4.1").resolve_params({"F": "1/2"})["F"] == Fraction(1, 2)
 
 
@@ -122,7 +128,7 @@ def test_unknown_id():
 
 def test_affine_type_matches_tau_at_defaults():
     for entry in ENTRIES:
-        assert entry.instantiate().affine_type() == entry.tau, entry.id
+        assert instantiate(entry).affine_type() == entry.tau, entry.id
 
 
 def test_transcribed_generators_live_in_kernels():
@@ -248,7 +254,7 @@ def test_boundary_branches_have_expected_classes():
     ]
     from cubicsym import classify
     for cid, overrides, label in checks:
-        form = get_entry(cid).instantiate(overrides)
+        form = instantiate(get_entry(cid), overrides)
         assert classify(form).label == label, cid
 
 

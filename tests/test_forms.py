@@ -3,14 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from cubicsym import CubicForm, Mat3, SingularTransformError, tau0_upper_bound
 from cubicsym.catalog import ENTRIES
 from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, \
-    _canonical_columns, _int_tensor, parse_scalar
+    _frame_tables, _int_tensor, parse_scalar
 from cubicsym.properties import random_form, random_invertible, random_vec
 
 
@@ -223,12 +223,38 @@ def test_tau0_reaches_the_true_type_of_the_factorable_cubic():
 
 
 def test_tau0_monotone_and_witnessed():
+    # random draws and catalog branches pulled back by rational frames
     rng = random.Random(23)
-    for _ in range(5):
-        g = random_form(rng)
-        b1, w1 = tau0_upper_bound(g, 1)
-        assert b1 <= g.affine_type()
-        assert g.pullback(w1).affine_type() == b1
+    forms = [random_form(rng) for _ in range(12)]
+    branches = [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()]
+    forms += [g.pullback(random_invertible(rng).inverse()) for g in rng.sample(branches, 10)]
+    for g in forms:
+        previous = g.affine_type()
+        for radius in (1, 2, 3):
+            bound, witness = tau0_upper_bound(g, radius)
+            assert bound <= previous, (g, radius)
+            previous = bound
+            assert witness.det() != 0
+            assert all(v.denominator == 1 and -radius <= v <= radius for v in witness.flatten())
+            assert g.pullback(witness).affine_type() == bound, (g, radius)
+            for column in zip(*witness.rows):
+                assert gcd(*map(int, column)) == 1
+                assert next(v for v in column if v) > 0
+
+
+def canonical_columns(radius):
+    # every nonzero integer 3-vector with entries in [-radius, radius] and
+    # first nonzero entry positive, in lexicographic order: the oracles search
+    # these, non-primitive columns included
+    return [v for v in product(range(-radius, radius + 1), repeat=3)
+            if v != (0, 0, 0) and next(x for x in v if x) > 0]
+
+
+def test_frame_tables_hold_the_primitive_canonical_columns():
+    for radius, count in ((1, 13), (2, 49), (3, 145)):
+        cols = _frame_tables(radius)[0]
+        assert cols == tuple(v for v in canonical_columns(radius) if gcd(*v) == 1)
+        assert len(cols) == count
 
 
 def test_tau0_rejects_bad_radius():
@@ -239,8 +265,9 @@ def test_tau0_rejects_bad_radius():
 
 
 def tau0_brute_force(form, radius):
-    # reference search: every column triple in enumeration order, all ten
-    # components by polarization, the first strict improvement wins
+    # reference search: every triple of canonical columns, non-primitive ones
+    # included, in enumeration order, all ten components by polarization, the
+    # first strict improvement wins
     best = form.affine_type()
     witness = Mat3.identity()
     floor = 0 if best == 0 else 1
@@ -249,7 +276,7 @@ def tau0_brute_force(form, radius):
     comps = form.components()
     m = lcm(*[c.denominator for c in comps])
     nz = [(t, int(c * m)) for t, c in zip(SORTED_TRIPLES, comps) if c != 0]
-    cols = _canonical_columns(radius)
+    cols = canonical_columns(radius)
     ncols = len(cols)
     for ia in range(ncols):
         ca = cols[ia]
@@ -307,15 +334,16 @@ def test_tau0_matches_brute_force_at_radius_2():
 
 
 def tau0_table_oracle(form, radius):
-    # reference search: the table-driven loop, testing every column pair and
-    # every third column against lookup tables of G(u, u, v) != 0
+    # reference search: the table-driven loop over the canonical columns,
+    # non-primitive ones included, testing every column pair and every third
+    # column against lookup tables of G(u, u, v) != 0
     best = form.affine_type()
     witness = Mat3.identity()
     floor = 0 if best == 0 else 1
     if best == floor:
         return best, witness
     tensor, _ = _int_tensor(form)
-    cols = _canonical_columns(radius)
+    cols = canonical_columns(radius)
     ncols = len(cols)
     slices = [[[u[0] * tensor[0][e][f] + u[1] * tensor[1][e][f] + u[2] * tensor[2][e][f]
                 for f in range(3)] for e in range(3)] for u in cols]
