@@ -30,6 +30,10 @@ kernel basis plus the radical, with
     finite_nontrivial_dim = dim kernel - 3 * dim radical
 
 counting the generators that are not accounted for by radical families.
+Since those members v (w . x) are nonzero for v, w nonzero, a zero kernel
+forces a zero radical, and solve computes the radical only when the kernel
+is nonzero.  Most forms have a full-rank system, and for them elimination
+stops after its forward pass (linalg).
 """
 
 from fractions import Fraction
@@ -93,7 +97,7 @@ class KillingSystem:
     matrix: tuple
 
     def kernel(self):
-        return nullspace([list(row) for row in self.matrix], ncols=9)
+        return nullspace(self.matrix, ncols=9)
 
 
 def build_system(form):
@@ -139,7 +143,8 @@ def solve(form):
     system (reduced echelon, pivots by first nonzero column), so identical
     inputs give byte-identical output.
     """
-    system = build_system(form)
-    kernel = system.kernel()
+    kernel = build_system(form).kernel()
     generators = tuple(Mat3.from_flat(vec) for vec in kernel)
-    return SymmetryAlgebra(generators=generators, radical_basis=tuple(form.radical()))
+    # a radical vector v makes every v w^T Killing, so a zero kernel has no radical
+    radical = tuple(form.radical()) if kernel else ()
+    return SymmetryAlgebra(generators=generators, radical_basis=radical)

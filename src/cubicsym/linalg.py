@@ -8,6 +8,12 @@ denominators, reduced fraction-free, and divided by its pivot only at the
 end.  Pivoting is deterministic (first nonzero entry in column order), so
 reduced echelon forms, nullspace bases and echelonized spans are canonical
 for a given input.
+
+Elimination is two steps.  The forward pass clears below each pivot and so
+fixes the pivot columns, hence the rank; back-substitution then clears above
+each pivot.  Where the rank is the answer the forward pass is all that runs:
+nullspace returns [] once every column has a pivot, and in_span asks only
+whether the target's column of the augmented matrix gets a pivot.
 """
 
 from fractions import Fraction
@@ -24,23 +30,32 @@ def scale_to_integers(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def rref(matrix):
-    """Reduced row echelon form.
+def _cleared(row, prow, c):
+    """row less a multiple of prow that zeroes column c, both rows scaled to
+    integers and the result divided by the gcd of its entries."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    row = [a * x - b * y for x, y in zip(row, prow)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Returns (rows, pivot_columns).  The input is not modified.  Pivots are
-    chosen as the first row with a nonzero entry in the leftmost unsettled
-    column, which makes the result canonical.  Scaling a row does not change
-    the reduced form, so rows are eliminated as integer multiples of
-    themselves (each new row divided by the gcd of its entries) and only the
-    final division by the pivot makes a Fraction.
+
+def _forward(matrix):
+    """Fraction-free forward elimination: (rows, pivot_columns).
+
+    The rows are the input's rows scaled to ints, with the first
+    len(pivot_columns) of them in row echelon form.  Pivots are chosen as the
+    first row with a nonzero entry in the leftmost unsettled column, and only
+    the rows below a pivot are cleared, so the rank is known here and no
+    Fraction is made.  The input is not modified.
     """
     rows = [scale_to_integers(row)[0] for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     pivots = []
+    if not rows:
+        return rows, pivots
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         pivot_row = None
         for i in range(r, len(rows)):
             if rows[i][c]:
@@ -50,23 +65,44 @@ def rref(matrix):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         prow = rows[r]
-        p = prow[c]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(rows[i], prow)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                rows[i] = _cleared(rows[i], prow, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    reduced = [[Fraction(x, row[p]) if x else ZERO for x in row]
-               for row, p in zip(rows, pivots)]
-    reduced += [[ZERO] * ncols for _ in range(len(rows) - r)]
-    return reduced, pivots
+    return rows, pivots
+
+
+def _back_substitute(rows, pivots):
+    """The reduced rows, one per pivot, from the forward pass's rows.
+
+    Clears above each pivot in turn, first pivot first: the row operations
+    Gauss-Jordan elimination makes above its pivots, in the same order.
+    Only the final division by the pivot makes a Fraction.
+    """
+    for k, c in enumerate(pivots):
+        prow = rows[k]
+        for i in range(k):
+            if rows[i][c]:
+                rows[i] = _cleared(rows[i], prow, c)
+    return [[Fraction(x, row[p]) if x else ZERO for x in row]
+            for row, p in zip(rows, pivots)]
+
+
+def rref(matrix):
+    """Reduced row echelon form: the forward pass, then back-substitution.
+
+    Returns (rows, pivot_columns), with a zero row for each row beyond the
+    rank.  The input is not modified.  Scaling a row does not change the
+    reduced form, so rows are eliminated as integer multiples of themselves.
+    """
+    rows, pivots = _forward(matrix)
+    if not rows:
+        return [], []
+    zero_rows = [[ZERO] * len(rows[0]) for _ in range(len(rows) - len(pivots))]
+    return _back_substitute(rows, pivots) + zero_rows, pivots
 
 
 def nullspace(matrix, ncols):
@@ -74,9 +110,14 @@ def nullspace(matrix, ncols):
 
     For each free column f the basis vector has a 1 in position f and the
     negated reduced-echelon entries in the pivot positions.  Basis vectors
-    are ordered by increasing free column.
+    are ordered by increasing free column.  When the forward pass puts a
+    pivot in every column the kernel is zero, and the basis is [] with no
+    back-substitution and no Fraction made.
     """
-    red, pivots = rref(matrix)
+    rows, pivots = _forward(matrix)
+    if len(pivots) == ncols:
+        return []
+    red = _back_substitute(rows, pivots)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -98,9 +139,15 @@ def echelon_basis(vectors):
     return [red[i] for i in range(len(pivots))]
 
 
+def _augmented(vectors, target):
+    """The matrix whose columns are the vectors, then the target."""
+    return [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
+
+
 def in_span(vectors, target):
-    """True iff target lies in the span of vectors (all exact)."""
-    return coordinates_in_span(vectors, target) is not None
+    """True iff target lies in the span of vectors (all exact): the forward
+    pass of the augmented matrix puts no pivot in the target's column."""
+    return len(vectors) not in _forward(_augmented(vectors, target))[1]
 
 
 def coordinates_in_span(vectors, target):
@@ -110,13 +157,7 @@ def coordinates_in_span(vectors, target):
     returned combination is the canonical one produced by elimination.
     """
     n = len(vectors)
-    if n == 0:
-        return [] if all(v == 0 for v in target) else None
-    m = len(target)
-    augmented = []
-    for i in range(m):
-        augmented.append([vectors[j][i] for j in range(n)] + [target[i]])
-    red, pivots = rref(augmented)
+    red, pivots = rref(_augmented(vectors, target))
     if n in pivots:
         return None
     coords = [ZERO] * n

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from cubicsym import CubicForm, Mat3, build_system, killing_operator, solve, \
+from cubicsym import CubicForm, Mat3, build_system, classify, killing_operator, solve, \
     verify_killing
-from cubicsym.forms import SORTED_TRIPLES
+from cubicsym.catalog import ENTRIES, PROJECTIVE_ENTRIES
+from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES
 from cubicsym.linalg import in_span, rref, span_equal
 from cubicsym.properties import conjugated_generators, random_form, \
     random_invertible, random_matrix, same_span
@@ -256,3 +257,27 @@ def test_radical_rank_one_fields_are_symmetries():
                 A = Mat3([[v[i] * Fraction(w[j]) for j in range(3)] for i in range(3)])
                 assert verify_killing(g, A)
                 assert in_span(kernel, A.flatten())
+
+
+def test_radical_is_skipped_only_when_it_is_empty():
+    """solve computes the radical only for a nonzero kernel: a radical vector
+    v makes every v w^T Killing.  Its radical must be the form's own on box
+    forms, catalog branches, their rational pullbacks and the projective
+    samples, and every class-8 form among them has no radical."""
+    rng = random.Random(79)
+    branches = [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()]
+    forms = [CubicForm(**{name: rng.choice((-1, 0, 1)) for name in COMPONENT_NAMES})
+             for _ in range(150)]
+    forms += [g.pullback(random_invertible(rng).inverse()) for g in branches]
+    forms += branches
+    forms += [entry.build(sample.params) for entry in PROJECTIVE_ENTRIES
+              for sample in entry.samples]
+    assert len(branches) == 77 and len(forms) == 150 + 2 * 77 + 22
+    seen = set()
+    for g in forms:
+        assert solve(g).radical_basis == tuple(g.radical()), g
+        eight = classify(g).label == "8"
+        if eight:
+            assert g.radical() == [], g
+        seen.add((eight, bool(g.radical())))
+    assert seen == {(True, False), (False, False), (False, True)}

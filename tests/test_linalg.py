@@ -2,15 +2,18 @@
 
 `rref` eliminates over ints and divides by the pivot only at the end; the
 reduced row echelon form is unique, so it must agree exactly with the plain
-Fraction Gauss-Jordan loop kept here as the oracle.
+Fraction Gauss-Jordan loop kept here as the oracle.  `nullspace` and
+`in_span` stop after the forward pass when the rank answers them, so their
+oracle answers are built here from the oracle's (rows, pivots).
 """
 
 import random
 from fractions import Fraction
 
-from cubicsym import Mat3, invariants
-from cubicsym import linalg
-from cubicsym.linalg import coordinates_in_span, echelon_basis, nullspace, rref
+from cubicsym import CubicForm, Mat3, build_system, invariants
+from cubicsym.catalog import ENTRIES
+from cubicsym.forms import COMPONENT_NAMES
+from cubicsym.linalg import coordinates_in_span, echelon_basis, in_span, nullspace, rref
 
 
 def rref_fraction_oracle(matrix):
@@ -66,6 +69,22 @@ def _matrix(rng, nrows, ncols, max_den=97):
     return rows
 
 
+def _killing_rows(form):
+    return [list(row) for row in build_system(form).matrix]
+
+
+def _full_rank_box_systems(count):
+    """Killing systems of rank 9 of seeded forms from the {-1,0,1}^10 box."""
+    rng = random.Random(20261019)
+    systems = []
+    while len(systems) < count:
+        form = CubicForm(**{name: rng.choice((-1, 0, 1)) for name in COMPONENT_NAMES})
+        rows = _killing_rows(form)
+        if len(rref_fraction_oracle(rows)[1]) == 9:
+            systems.append(rows)
+    return systems
+
+
 def _cases():
     rng = random.Random(20261018)
     cases = [[], [[0] * 5], [[0] * 4] * 3, [[]], [[Fraction(3, 97)] * 6] * 4]
@@ -73,6 +92,9 @@ def _cases():
         cases.extend(_matrix(rng, *shape) for _ in range(25))
     cases.extend(_matrix(rng, rng.randint(1, 11), rng.randint(1, 11))
                  for _ in range(100))
+    cases.extend(_full_rank_box_systems(30))
+    cases.extend(_killing_rows(entry.build(branch.params))
+                 for entry in ENTRIES for branch in entry.branches())
     return cases
 
 
@@ -92,26 +114,63 @@ def test_rref_matches_fraction_oracle():
         assert all(type(v) is Fraction for row in rows for v in row)
 
 
-def test_derived_calls_match_the_oracle(monkeypatch):
-    new = []
+def oracle_nullspace(matrix, ncols):
+    """Kernel basis read off the oracle's reduced rows: a 1 in each free
+    column, the negated reduced entries in the pivot columns."""
+    rows, pivots = rref_fraction_oracle(matrix)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            for row, p in zip(rows, pivots):
+                vec[p] = -row[free]
+            basis.append(vec)
+    return basis
+
+
+def oracle_span(vectors, target):
+    """(coordinates or None, membership) from the oracle's reduction of the
+    matrix whose columns are the vectors, then the target."""
+    n = len(vectors)
+    rows, pivots = rref_fraction_oracle(
+        [[v[i] for v in vectors] + [target[i]] for i in range(len(target))])
+    if n in pivots:
+        return None, False
+    coords = [Fraction(0)] * n
+    for row, p in zip(rows, pivots):
+        coords[p] = row[n]
+    return coords, True
+
+
+def test_derived_calls_match_the_oracle():
+    full_rank = 0
     for matrix in CASES:
         if not matrix or not matrix[0]:
             continue
+        before = [list(row) for row in matrix]
         ncols = len(matrix[0])
+        rows, pivots = rref_fraction_oracle(matrix)
+        full_rank += len(pivots) == ncols
         kernel = nullspace(matrix, ncols)
-        assert len(kernel) == ncols - len(rref(matrix)[1])
+        assert kernel == oracle_nullspace(matrix, ncols), matrix
+        assert len(kernel) == ncols - len(pivots)
         for vec in kernel:
             assert not any(_mat_vec(matrix, vec))
-        coords = coordinates_in_span(matrix[:-1], matrix[-1])
+        assert echelon_basis(matrix) == rows[:len(pivots)]
+        vectors, target = matrix[:-1], matrix[-1]
+        coords, member = oracle_span(vectors, target)
+        assert coordinates_in_span(vectors, target) == coords, matrix
+        assert in_span(vectors, target) is member, matrix
         if coords is not None:
             combo = [sum(c * Fraction(row[i]) for c, row in zip(coords, matrix))
                      for i in range(ncols)]
-            assert combo == list(map(Fraction, matrix[-1]))
-        new.append((kernel, echelon_basis(matrix), coords))
-    monkeypatch.setattr(linalg, "rref", rref_fraction_oracle)
-    old = [(nullspace(m, len(m[0])), echelon_basis(m), coordinates_in_span(m[:-1], m[-1]))
-           for m in CASES if m and m[0]]
-    assert new == old
+            assert combo == list(map(Fraction, target))
+        # the sum of the columns lies in their span
+        columns = [list(col) for col in zip(*matrix)]
+        assert in_span(columns, [sum(row) for row in matrix]) is True
+        assert matrix == before
+    assert full_rank >= 30
 
 
 def test_augmented_solve_finds_the_planted_coordinates():
