@@ -212,6 +212,10 @@ class Mat3:
                                     for row in self.rows) + "])"
 
 
+# the witness of a frame search that keeps the given frame
+_IDENTITY = Mat3.identity()
+
+
 @record
 class CubicForm:
     """The ten stored components of a symmetric cubic tensor.
@@ -347,35 +351,91 @@ def _int_tensor(form):
 @lru_cache(maxsize=4)
 def _frame_tables(radius):
     """The tables of the frame search that depend only on the radius:
-    (cols, monos, after, unit).  cols are the primitive canonical columns:
-    the integer 3-vectors with entries in [-radius, radius], first nonzero
-    entry positive and gcd 1 (gcd(0, 0, 0) = 0 drops the zero vector), in
-    lexicographic order.  monos[u] holds the quadratic monomials u_d u_e of
-    column u in the order 11, 12, 13, 22, 23, 33, after[u] the mask of the
-    columns after column u and unit[u] the bit 1 << u of column u."""
+    (cols, after).  cols are the primitive canonical columns: the integer
+    3-vectors with entries in [-radius, radius], first nonzero entry positive
+    and gcd 1 (gcd(0, 0, 0) = 0 drops the zero vector), in lexicographic
+    order.  after[u] is the mask of the columns after column u."""
     rng = range(-radius, radius + 1)
     cols = tuple(v for v in product(rng, repeat=3)
                  if gcd(*v) == 1 and next(x for x in v if x) > 0)
-    monos = tuple((u0 * u0, u0 * u1, u0 * u2, u1 * u1, u1 * u2, u2 * u2)
-                  for u0, u1, u2 in cols)
-    unit = tuple(1 << i for i in range(len(cols)))
     full = (1 << len(cols)) - 1
-    after = tuple(full ^ ((u << 1) - 1) for u in unit)
-    return cols, monos, after, unit
+    return cols, tuple(full ^ ((2 << u) - 1) for u in range(len(cols)))
 
 
-@lru_cache(maxsize=8)
-def _packed_columns(radius, w):
-    """The packed columns of the frame search for a field width of w bits:
-    (high, low, biased, packed).  Column v owns bits w v .. w v + w - 1 of a
-    packed int; packed[i] holds the i-th entries of all columns, high the top
-    bit of every field, low the bits below it and biased 2^(w-2) in every
-    field."""
+@lru_cache(maxsize=4)
+def _pair_tables(radius, nbytes):
+    """The ordered pairs of columns of the frame search, packed into fields
+    of w = 8 nbytes bits: (biased, low, packed).  Pair (u, v) of the n columns
+    owns the field n u + v.  biased holds 2^(w-2) and low 2^(w-1) - 1 in every
+    field; packed[k] holds, in the field of (u, v), the coefficient c_k(u, v)
+    of the k-th stored component (SORTED_TRIPLES order) in
+    G(u,u,v) = sum_k G_k c_k(u, v): the sum of u_d u_e v_f over the index
+    triples (d, e, f) that sort to k.  A field is a signed value, so a packed
+    int is sum over pairs of c_k(u, v) 2^(w (n u + v)).
+
+    c_k(u, v) = sum_f q_kf(u) v_f, so packed[k] is sum_f V_f Q_kf, with V_f the
+    f-th entries of the columns in w-bit fields and Q_kf the q_kf(u) in fields
+    of n w bits: each product puts q_kf(u) v_f at bit w (n u + v).
+
+    An entry is twelve ints of n^2 nbytes bytes.  n = 13, 49 and 145 columns
+    at radius 1, 2 and 3 give 169, 2,401 and 21,025 fields, so an entry takes
+    ~2.3, ~31 and ~270 KB per byte of field width: ~62 KB for the 16-bit
+    fields of a box form at radius 2 and ~540 KB at radius 3.  n^2 grows as
+    radius^6, and the width with the size of the form's coefficients, which
+    tau0_upper_bound makes coprime: a multiple of a form shares its tables,
+    and the catalog branches and their rational pullbacks need 1-3 bytes,
+    but 40-digit coprime components need 19 (~5 MB at radius 3).  At most
+    four entries are kept."""
     cols = _frame_tables(radius)[0]
-    ones = sum(1 << (w * iv) for iv in range(len(cols)))
-    high = ones << (w - 1)
-    packed = tuple(sum(v[i] << (w * iv) for iv, v in enumerate(cols)) for i in range(3))
-    return high, high - ones, ones << (w - 2), packed
+    n = len(cols)
+    q = [[[0] * n for _ in range(3)] for _ in SORTED_TRIPLES]
+    for iu, u in enumerate(cols):
+        for d, e, f in product(range(3), repeat=3):
+            q[_FULL_INDEX[d][e][f]][f][iu] += u[d] * u[e]
+    w = 8 * nbytes
+    entries = [sum(v[f] << (w * i) for i, v in enumerate(cols)) for f in range(3)]
+    packed = tuple(sum(entries[f] * sum(x << (n * w * i) for i, x in enumerate(qk[f]))
+                       for f in range(3) if any(qk[f]))
+                   for qk in q)
+    ones = int.from_bytes(b"\x01".ljust(nbytes, b"\x00") * (n * n), "little")
+    return ones << (w - 2), (ones << (w - 1)) - ones, packed
+
+
+# the top byte of a field of (e ^ biased) + low is below 0x80 iff G(u,u,v) = 0 there
+_FLAGS = b"1" * 128 + b"0" * 128
+
+
+def _zero_pattern(coeffs, radius):
+    """(zero, zero_t, diag) over the columns of the frame search: zero[u] is
+    the mask of the columns v with G(u,u,v) = 0, zero_t[v] the mask of the
+    columns u with G(u,u,v) = 0 and diag the mask of the columns u with
+    G(u,u,u) = 0, for the integer component vector coeffs (SORTED_TRIPLES
+    order) of G.
+
+    The sum of coeffs[k] packed[k] (_pair_tables) holds G(u,u,v) in the field
+    of pair (u, v).  A term u_d u_e v_f is at most radius^3 in size and c_k
+    has as many terms as k has orderings, so |G(u,u,v)| <= bound.  The field
+    width w = 8 nbytes is (2 bound).bit_length() + 1 rounded up to whole
+    bytes, so |G(u,u,v)| < 2^(w-2).  With biased added every field holds
+    G(u,u,v) + 2^(w-2) in [1, 2^(w-1)), and no field borrows from the next;
+    xoring biased away leaves a field in [0, 2^(w-1)) that is zero iff
+    G(u,u,v) is, and adding low then sets the top bit of exactly the nonzero
+    fields.  The top byte of every field, as '1' (zero) or '0' after
+    translate, makes a string whose char n^2 - 1 - (n u + v) is the bit of
+    pair (u, v): runs of n chars give the rows, every n-th char the columns
+    and every (n+1)-th char the diagonal."""
+    bound = radius ** 3 * sum(abs(x) * _ORBIT_SIZE[t] for x, t in zip(coeffs, SORTED_TRIPLES))
+    nbytes = ((2 * bound).bit_length() + 8) // 8
+    biased, low, packed = _pair_tables(radius, nbytes)
+    n = len(_frame_tables(radius)[0])
+    e = biased
+    for x, p in zip(coeffs, packed):
+        if x:
+            e += x * p
+    bits = (((e ^ biased) + low).to_bytes(n * n * nbytes, "big")[::nbytes]).translate(_FLAGS)
+    zero = [int(bits[j:j + n], 2) for j in range(n * n - n, -1, -n)]
+    zero_t = [int(bits[j::n], 2) for j in range(n - 1, -1, -1)]
+    return zero, zero_t, int(bits[::n + 1], 2)
 
 
 def _second_columns(flat, t0_a, t1_a, base, full):
@@ -428,19 +488,26 @@ def tau0_upper_bound(form, radius):
     components, with d(u) = [G(u,u,u) != 0] and
     t(u,v) = [G(u,u,v) != 0] + [G(v,v,u) != 0].
 
-    Per radius (_frame_tables): the columns, their quadratic monomials, the
-    masks of later columns and the unit bit of each column.  Per radius and
-    field width w (_packed_columns): the columns packed into three ints, one
-    w-bit field per column.  Per call: G(u,u,.) from the monomials, w from its
-    size, the zero pattern of G(u,u,v) as bitmasks over the columns (one
-    packed product per column u) and the masks of third columns that each
-    second column leaves.  The second columns b of a first column a that leave
+    Per radius (_frame_tables): the columns and the masks of later columns.
+    Per radius and byte-rounded field width (_pair_tables): every ordered
+    column pair (u, v) owns a field of a packed int, and one packed int per
+    stored component holds that component's coefficient in G(u,u,v).  Per
+    call (_zero_pattern): the field width from the size of the form's
+    integer components, divided by their gcd (a scalar factor changes no
+    zero pattern), then one packed sum of the components times their packed
+    ints, which holds G(u,u,v) for every pair; its zero fields give the zero
+    pattern of G(u,u,v) as bitmasks over the columns, by rows and by columns.
+    From those, the masks of third columns that each second column leaves.
+    The search reads only t(u,v) = 0 and t(u,v) <= 1, the AND and the OR of
+    a row and a column.  The second columns b of a first column a that leave
     a candidate third column (_second_columns), and the third columns c of a
     pair, are then a few mask ANDs and ORs; they are walked in increasing
     order and narrowed whenever the bound drops.  G(a,.,.) is computed only
     for a first column with a candidate pair, G(a,b,.) only for a pair with a
     candidate c, and the determinant only for a triple that would improve the
     bound, so the first strictly improving frame in enumeration order wins.
+    Its columns are kept as tuples, and one Mat3 is made for the frame
+    returned.
 
     Leaving out the non-primitive columns changes no (bound, witness).  A
     column's sign changes no zero component, and neither does a factor k > 1:
@@ -457,55 +524,27 @@ def tau0_upper_bound(form, radius):
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
         raise ValueError("radius must be an int >= 1")
     best = form.affine_type()
-    witness = Mat3.identity()
     floor = 0 if best == 0 else 1
     if best == floor:
-        return best, witness
-    tensor, _ = _int_tensor(form)
-    cols, monos, after, unit = _frame_tables(radius)
-    ncols = len(cols)
-    full = (1 << ncols) - 1
-    # quad[u][f] = G(u, u, f) = sum over d <= e of u_d u_e coef[f][de]
-    (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5), (r0, r1, r2, r3, r4, r5) = (
-        (tensor[0][0][f], 2 * tensor[0][1][f], 2 * tensor[0][2][f],
-         tensor[1][1][f], 2 * tensor[1][2][f], tensor[2][2][f]) for f in range(3))
-    quad = [(m0 * p0 + m1 * p1 + m2 * p2 + m3 * p3 + m4 * p4 + m5 * p5,
-             m0 * q0 + m1 * q1 + m2 * q2 + m3 * q3 + m4 * q4 + m5 * q5,
-             m0 * r0 + m1 * r1 + m2 * r2 + m3 * r3 + m4 * r4 + m5 * r5)
-            for m0, m1, m2, m3, m4, m5 in monos]
-    # zero[u]: columns v with G(u, u, v) = 0; zero_t[u]: columns v with G(v, v, u) = 0.
-    # quad[u] . v for every v at once: column v owns a w-bit field of a packed
-    # int holding quad[u] . v + 2^(w-2), which lies in [1, 2^(w-1)), and a field
-    # is zero exactly when its top bit survives high & ~(((e & low) + low) | e).
-    bound = radius * max(abs(x) + abs(y) + abs(z) for x, y, z in quad)
-    w = (2 * bound).bit_length() + 1
-    high, low, biased, (c0, c1, c2) = _packed_columns(radius, w)
-    zero = []
-    zero_t = [0] * ncols
-    flat = 0        # columns v with d(v) = 0
-    for iu, (x, y, z) in enumerate(quad):
-        e = (x * c0 + y * c1 + z * c2 + biased) ^ biased
-        m = high & ~(((e & low) + low) | e)
-        row = 0
-        if m:
-            bit_u = unit[iu]
-            while m:
-                top = m.bit_length()
-                m ^= 1 << (top - 1)
-                iv = top // w - 1
-                row |= unit[iv]
-                zero_t[iv] |= bit_u
-            flat |= row & bit_u
-        zero.append(row)
+        return best, _IDENTITY
+    coeffs, _ = scale_to_integers(form.components())
+    # a scalar factor changes no zero pattern, so every multiple of a form
+    # shares its field width and tables
+    g = gcd(*coeffs)
+    coeffs = [x // g for x in coeffs]
+    tensor = _full_tensor(coeffs)
+    cols, after = _frame_tables(radius)
+    full = (1 << len(cols)) - 1
+    zero, zero_t, flat = _zero_pattern(coeffs, radius)       # flat: columns v with d(v) = 0
+    # t0[u]: columns v with t(u, v) = 0; t1[u]: columns v with t(u, v) <= 1
+    t0 = [z & zt for z, zt in zip(zero, zero_t)]
+    t1 = [z | zt for z, zt in zip(zero, zero_t)]
     # reach[u][k + 2]: columns v after u with d(v) + t(u, v) <= k, for -2 <= k <= 9
-    reach = []
-    for z, zt, later in zip(zero, zero_t, after):
-        m0, m1 = z & zt, z | zt
-        reach.append((0, 0, flat & m0 & later, (flat & m1 | m0) & later, (flat | m1) & later,
-                      later, later, later, later, later, later, later))
-    for ia in range(ncols):
-        za, zta = zero[ia], zero_t[ia]
-        t0_a, t1_a = za & zta, za | zta
+    reach = [(0, 0, flat & m0 & later, (flat & m1 | m0) & later, (flat | m1) & later,
+              later, later, later, later, later, later, later)
+             for m0, m1, later in zip(t0, t1, after)]
+    witness = None
+    for ia, (t0_a, t1_a) in enumerate(zip(t0, t1)):
         count_a = 1 - (flat >> ia & 1)                                   # A1
         bmask = _second_columns(flat, t0_a, t1_a, best - 4 - count_a, full) & after[ia]
         if not bmask:
@@ -516,7 +555,7 @@ def tau0_upper_bound(form, radius):
             bmask ^= bit
             ib = bit.bit_length() - 1
             # A2, C1, B1; the third columns c of the pair have d(c) + t(a,c) + t(b,c) <= k
-            count_ab = count_a + 3 - (flat >> ib & 1) - (za >> ib & 1) - (zta >> ib & 1)
+            count_ab = count_a + 3 - (flat >> ib & 1) - (t0_a >> ib & 1) - (t1_a >> ib & 1)
             reach_b = reach[ib]
             j = best + 1 - count_ab                                      # k + 2
             cmask = t0_a & reach_b[j] | t1_a & reach_b[j - 1] | reach_b[j - 2]
@@ -526,7 +565,7 @@ def tau0_upper_bound(form, radius):
                 # ma[e][f] = G(a, e, f)
                 ma = [[ca[0] * tensor[0][e][f] + ca[1] * tensor[1][e][f] + ca[2] * tensor[2][e][f]
                        for f in range(3)] for e in range(3)]
-            cb, zb, ztb = cols[ib], zero[ib], zero_t[ib]
+            cb, t0_b, t1_b = cols[ib], t0[ib], t1[ib]
             # G(a, b, .) and a x b, once per pair
             f0, f1, f2 = (ma[0][f] * cb[0] + ma[1][f] * cb[1] + ma[2][f] * cb[2]
                           for f in range(3))
@@ -541,18 +580,18 @@ def tau0_upper_bound(form, radius):
                 if x0 * cc[0] + x1 * cc[1] + x2 * cc[2] == 0:
                     continue
                 # A3, C2, B2, C3, B3 and F
-                count = (count_ab + 5 - (flat >> ic & 1) - (za >> ic & 1) - (zta >> ic & 1)
-                         - (zb >> ic & 1) - (ztb >> ic & 1)
+                count = (count_ab + 5 - (flat >> ic & 1) - (t0_a >> ic & 1) - (t1_a >> ic & 1)
+                         - (t0_b >> ic & 1) - (t1_b >> ic & 1)
                          + (f0 * cc[0] + f1 * cc[1] + f2 * cc[2] != 0))
                 if count >= best:
                     continue
                 best = count
-                witness = Mat3(tuple(zip(ca, cb, cc)))
+                witness = ca, cb, cc
                 if best == floor:
-                    return best, witness
+                    return best, Mat3(tuple(zip(*witness)))
                 bmask &= _second_columns(flat, t0_a, t1_a, best - 4 - count_a, full)
                 if count_ab >= best:
                     break
                 j = best + 1 - count_ab
                 cmask &= t0_a & reach_b[j] | t1_a & reach_b[j - 1] | reach_b[j - 2]
-    return best, witness
+    return best, _IDENTITY if witness is None else Mat3(tuple(zip(*witness)))

@@ -10,7 +10,8 @@ import pytest
 from cubicsym import CubicForm, Mat3, SingularTransformError, tau0_upper_bound
 from cubicsym.catalog import ENTRIES
 from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, \
-    _frame_tables, _int_tensor, parse_scalar
+    _frame_tables, _int_tensor, _pair_tables, _zero_pattern, parse_scalar
+from cubicsym.linalg import scale_to_integers
 from cubicsym.properties import random_form, random_invertible, random_vec
 
 
@@ -257,6 +258,63 @@ def test_frame_tables_hold_the_primitive_canonical_columns():
         assert len(cols) == count
 
 
+def zero_pattern_oracle(form, radius):
+    # G(u, u, v) for every ordered pair of columns, term by term from the
+    # integer tensor, as row masks, column masks and the diagonal mask
+    tensor, _ = _int_tensor(form)
+    cols = _frame_tables(radius)[0]
+    n = len(cols)
+    zero, zero_t, diag = [0] * n, [0] * n, 0
+    for iu, u in enumerate(cols):
+        quad = [sum(tensor[d][e][f] * u[d] * u[e] for d in range(3) for e in range(3))
+                for f in range(3)]
+        for iv, v in enumerate(cols):
+            if quad[0] * v[0] + quad[1] * v[1] + quad[2] * v[2] == 0:
+                zero[iu] |= 1 << iv
+                zero_t[iv] |= 1 << iu
+                if iu == iv:
+                    diag |= 1 << iu
+    return zero, zero_t, diag
+
+
+def pattern_bound(form, radius):
+    # the bound of _zero_pattern on |G(u, u, v)|: radius^3 times the sum of
+    # the integer components, each weighted by its number of orderings
+    coeffs, _ = scale_to_integers(form.components())
+    orbit = [len(set(permutations(t))) for t in SORTED_TRIPLES]
+    return radius ** 3 * sum(abs(x) * k for x, k in zip(coeffs, orbit))
+
+
+def test_zero_pattern_matches_direct_evaluation():
+    # box and random draws, catalog branches pulled back to rational frames,
+    # 40-digit scalings, and forms scaled to the lowest bound and, negated, to
+    # the highest bound whose (2 bound).bit_length() + 1 is 8, 9, 16 or 17
+    # bits, on either side of a byte boundary of the field width
+    rng = random.Random(25)
+    branches = [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()]
+    common = [CubicForm(**{n: rng.choice((-1, 0, 1)) for n in COMPONENT_NAMES}) for _ in range(4)]
+    common += [random_form(rng) for _ in range(4)]
+    common += [g.pullback(random_invertible(rng)) for g in rng.sample(branches, 4)]
+    common += [g.scale(Fraction(10 ** 40, 3)) for g in common[::3]]
+    bases = [CubicForm(A1=1), CubicForm(F=1), CubicForm(A2=1, C3=-1), CubicForm(B1=1, F=1),
+             CubicForm(A1=2, A2=2, A3=2, F=-1), CubicForm(A1=1, B2=-1, C1=1, F=1)]
+    for radius in (1, 2, 3):
+        edges = []
+        for bits in (8, 9, 16, 17):
+            low, high = 1 << (bits - 3), 1 << (bits - 2)     # a bound in [low, high)
+            scaled = []
+            for g in bases:
+                b = pattern_bound(g, radius)
+                if b <= low:
+                    scaled += [g.scale(-(-low // b)), g.scale(-((high - 1) // b))]
+            assert scaled, (radius, bits)
+            assert {(2 * pattern_bound(h, radius)).bit_length() + 1 for h in scaled} == {bits}
+            edges += scaled
+        for g in common + edges:
+            coeffs, _ = scale_to_integers(g.components())
+            assert _zero_pattern(coeffs, radius) == zero_pattern_oracle(g, radius), (g, radius)
+
+
 def test_tau0_rejects_bad_radius():
     # True would pass for radius 1 and 2.0 would reach range(); both are refused
     for radius in (0, -1, True, False, 2.0, Fraction(2), "2", None):
@@ -417,15 +475,20 @@ def test_tau0_matches_table_oracle():
     g = CubicForm(A1=1, A2=1, A3=1, F=Fraction(-1, 2))
     for radius in (2, 1, 2):
         assert tau0_upper_bound(g, radius) == tau0_table_oracle(g, radius), radius
-    # radius 3 (171 columns): the same mix, then a form alternating with its
-    # 10**40/3 scaling, so that columns packed for one field width are never
-    # used for another
+    # radius 3 (145 columns): the same mix
     for g in box:
         assert tau0_upper_bound(g, 3) == tau0_table_oracle(g, 3), g
+    # at each radius a form alternating with one of 20-digit coprime
+    # components, so that pairs packed for one field width never serve
+    # another; a scalar multiple of the form shares its tables
     g = box[-1]
-    expected = tau0_table_oracle(g, 3)
-    for h in (g, g.scale(Fraction(10 ** 40, 3)), g):
-        assert tau0_upper_bound(h, 3) == expected, h
+    wide = CubicForm(**{n: getattr(g, n) * (10 ** 20 + i) for i, n in enumerate(COMPONENT_NAMES)})
+    for radius in (1, 2, 3):
+        expected, expected_wide = tau0_table_oracle(g, radius), tau0_table_oracle(wide, radius)
+        _pair_tables.cache_clear()
+        for h in (g, g.scale(Fraction(10 ** 40, 3)), wide, g):
+            assert tau0_upper_bound(h, radius) == (expected_wide if h is wide else expected), (h, radius)
+        assert _pair_tables.cache_info().misses == 2, radius
 
 
 def test_json_round_trip():
