@@ -311,8 +311,15 @@ def cmd_selftest(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one-line input errors, exit code 1 (2 is an audit regression)."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubicsym",
         description="Exact symmetry algebras of homogeneous cubic metrics on 3-space")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -369,18 +376,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit(2) for usage errors; 2 is reserved for audit
-        # regressions, so usage problems are reported as input errors
-        return 1 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         status = args.fn(args)
         # a closed pipe surfaces here, not at the interpreter's final flush
         sys.stdout.flush()
         return status
+    except SystemExit as exc:  # only --help exits (0); usage errors raise InputError
+        return exc.code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

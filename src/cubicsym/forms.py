@@ -192,7 +192,8 @@ class Mat3:
 
     @classmethod
     def from_flat(cls, vec):
-        return cls((tuple(vec[0:3]), tuple(vec[3:6]), tuple(vec[6:9])))
+        """The matrix of a row-major 9-vector; other lengths raise ValueError."""
+        return cls([vec[i:i + 3] for i in range(0, len(vec), 3)])
 
     def to_json(self):
         return [[format_scalar(v) for v in row] for row in self.rows]
@@ -438,33 +439,34 @@ def _zero_pattern(coeffs, radius):
     return zero, zero_t, int(bits[::n + 1], 2)
 
 
-def _second_columns(flat, t0_a, t1_a, base, full):
-    """Columns b that leave a pair (a, b) a candidate third column c > b (see
-    tau0_upper_bound), from a's masks of t(a,v) = 0 and t(a,v) <= 1 and
-    base = best - 4 - d(a).
+def _second_columns(reach_a, base):
+    """Columns b after a that leave a pair (a, b) a candidate third column
+    c > b (see tau0_upper_bound), from a's reach row and base = best - 4 - d(a).
 
     With s(b) = [d(b) = 0] + [G(a,a,b) = 0] + [G(b,b,a) = 0], the pair may
     still spend k = base + s(b) nonzero components on c, and every such c lies
     in Z_k, the columns with s >= 3 - k (every column once k >= 3).  So b must
     come before the last column of Z_k; as the Z_k are nested, b is kept when
-    s(b) >= i - base and b comes before the last column of Z_i, for some i."""
+    s(b) >= i - base and b comes before the last column of Z_i, for some i.
+    reach_a[5], [4], [3] and [2] hold the columns after a with s >= 0, 1, 2
+    and 3, and base >= -3, as the search runs only while best >= 2."""
+    # s_k and cut_k, the columns before the last of s_k (s0 >> 1 on subsets of s0)
+    s0 = reach_a[5]
+    cut0 = s0 >> 1
     if base >= 3:
-        return full >> 1
-    if base < -3:
-        return 0
-    # the columns with s >= 1, 2 and 3, and the columns before the last of each
-    s1 = flat | t1_a
-    s2 = flat & t1_a | t0_a
-    s3 = flat & t0_a
+        return s0 & cut0
+    s1 = reach_a[4]
     cut1 = ((1 << s1.bit_length()) - 1) >> 1
-    cut2 = ((1 << s2.bit_length()) - 1) >> 1
-    cut3 = ((1 << s3.bit_length()) - 1) >> 1
     if base == 2:
-        return cut1 | s1 & full >> 1
+        return s0 & cut1 | s1 & cut0
+    s2 = reach_a[3]
+    cut2 = ((1 << s2.bit_length()) - 1) >> 1
     if base == 1:
-        return cut2 | s1 & cut1 | s2 & full >> 1
+        return s0 & cut2 | s1 & cut1 | s2 & cut0
+    s3 = reach_a[2]
+    cut3 = ((1 << s3.bit_length()) - 1) >> 1
     if base == 0:
-        return cut3 | s1 & cut2 | s2 & cut1 | s3 & full >> 1
+        return s0 & cut3 | s1 & cut2 | s2 & cut1 | s3 & cut0
     if base == -1:
         return s1 & cut3 | s2 & cut2 | s3 & cut1
     if base == -2:
@@ -534,7 +536,6 @@ def tau0_upper_bound(form, radius):
     coeffs = [x // g for x in coeffs]
     tensor = _full_tensor(coeffs)
     cols, after = _frame_tables(radius)
-    full = (1 << len(cols)) - 1
     zero, zero_t, flat = _zero_pattern(coeffs, radius)       # flat: columns v with d(v) = 0
     # t0[u]: columns v with t(u, v) = 0; t1[u]: columns v with t(u, v) <= 1
     t0 = [z & zt for z, zt in zip(zero, zero_t)]
@@ -544,9 +545,9 @@ def tau0_upper_bound(form, radius):
               later, later, later, later, later, later, later)
              for m0, m1, later in zip(t0, t1, after)]
     witness = None
-    for ia, (t0_a, t1_a) in enumerate(zip(t0, t1)):
+    for ia, (t0_a, t1_a, reach_a) in enumerate(zip(t0, t1, reach)):
         count_a = 1 - (flat >> ia & 1)                                   # A1
-        bmask = _second_columns(flat, t0_a, t1_a, best - 4 - count_a, full) & after[ia]
+        bmask = _second_columns(reach_a, best - 4 - count_a)
         if not bmask:
             continue
         ca, ma = cols[ia], None
@@ -589,7 +590,7 @@ def tau0_upper_bound(form, radius):
                 witness = ca, cb, cc
                 if best == floor:
                     return best, Mat3(tuple(zip(*witness)))
-                bmask &= _second_columns(flat, t0_a, t1_a, best - 4 - count_a, full)
+                bmask &= _second_columns(reach_a, best - 4 - count_a)
                 if count_ab >= best:
                     break
                 j = best + 1 - count_ab

@@ -11,7 +11,7 @@ from math import isqrt
 
 from ._record import record
 from .forms import Mat3, _det, format_scalar
-from .linalg import coordinates_in_span, echelon_basis, rref, scale_to_integers
+from .linalg import echelon_basis, rref, scale_to_integers
 
 
 class DependentBasisError(ValueError):
@@ -90,9 +90,9 @@ def derived_algebra(basis):
 class InvariantSeries:
     """Traces of powers I_n = Tr(A^n) for n = 1..6 and the determinant.
 
-    The characteristic polynomial coefficients are derived from them:
-    (1, -I1, (I1^2 - I2)/2, -Delta); I4..I6 then satisfy the trace recursion
-    they induce, which the test suite checks explicitly.
+    The characteristic polynomial (1, -I1, (I1^2 - I2)/2, -Delta) is read off
+    I1, I2 and Delta, and invariants derives I3..I6 from it by Newton's
+    identities, so a computed series satisfies the trace recursion exactly.
     """
 
     I: tuple
@@ -112,23 +112,19 @@ class InvariantSeries:
 
 
 def invariants(A):
-    """Exact invariant series of a field matrix.
-
-    With A = M/d for an integer matrix M, I_k = Tr(M^k)/d^k and
-    Delta = det(M)/d^3: the powers and the determinant are integer products
-    and each invariant makes one Fraction.
-    """
+    """Exact invariant series of a field matrix A = M/d, M an integer matrix:
+    I_k = P_k/d^k with P_k = Tr(M^k), and Delta = e3/d^3 with e3 = det(M).
+    With e1 = P_1 and e2 = (e1^2 - P_2)/2, Newton's identities P_k = e1 P_(k-1)
+    - e2 P_(k-2) + e3 P_(k-3) (k >= 3, P_0 = 3) give P_3..P_6, all ints."""
     flat, d = scale_to_integers(A.flatten())
     M = [flat[0:3], flat[3:6], flat[6:9]]
-    cols = list(zip(*M))
-    traces = []
-    power = M
-    for k in range(1, 7):
-        traces.append(Fraction(power[0][0] + power[1][1] + power[2][2], d ** k))
-        if k < 6:
-            power = [[sum(x * y for x, y in zip(row, col)) for col in cols]
-                     for row in power]
-    return InvariantSeries(I=tuple(traces), delta=Fraction(_det(M), d ** 3))
+    e1, e3 = M[0][0] + M[1][1] + M[2][2], _det(M)
+    p = [3, e1, sum(M[i][j] * M[j][i] for i in range(3) for j in range(3))]
+    e2 = (e1 * e1 - p[2]) // 2
+    for _ in range(4):
+        p.append(e1 * p[-1] - e2 * p[-2] + e3 * p[-3])
+    return InvariantSeries(I=tuple(Fraction(x, d ** k) for k, x in enumerate(p) if k),
+                           delta=Fraction(e3, d ** 3))
 
 
 def _nth_root(x, n):
@@ -215,20 +211,18 @@ def colinearity(s1, s2):
 
 
 def solvable_pair(basis):
-    """Basis (X1, X2) of a 2-dimensional nonabelian algebra normalized so
-    that bracket(X1, X2) = (3/2) X2; X2 spans the derived algebra."""
+    """Basis (X1, X2) of a 2-dimensional nonabelian algebra with
+    bracket(X1, X2) = (3/2) X2.  The reduction that checks the basis A, B gives
+    [A, B] = alpha A + beta B, and X2, spanning the derived algebra, is [A, B]
+    over its first nonzero entry.  [A, X2] = beta X2 and [B, X2] = -alpha X2,
+    so X1 is A (3/2)/beta if beta != 0, else B (3/2)/(-alpha): [g, g] is an
+    ideal, and a nonabelian algebra has (alpha, beta) != 0, so no case is left."""
     if len(basis) != 2:
         raise ValueError("expected a 2-dimensional algebra")
-    derived = derived_algebra(basis)
-    if len(derived) != 1:
+    _, (ab,), red = _reduced_brackets(basis)
+    alpha, beta = red[0][2], red[1][2]
+    if alpha == beta == 0:
         raise ValueError("algebra is not 2-dimensional nonabelian")
-    D = derived[0]
-    dvec = D.flatten()
-    for Y in basis:
-        coords = coordinates_in_span([dvec], bracket(Y, D).flatten())
-        if coords is None:
-            raise NotClosedError("derived element is not normalized by the basis")
-        mu = coords[0]
-        if mu != 0:
-            return Y.scale(Fraction(3, 2) / mu), D
-    raise ValueError("no basis element acts nontrivially on the derived algebra")
+    X1, mu = (basis[0], beta) if beta else (basis[1], -alpha)
+    pivot = next(v for v in ab if v)
+    return X1.scale(Fraction(3, 2) / mu), Mat3.from_flat([x / pivot for x in ab])

@@ -2,12 +2,12 @@
 
 Everything here works on small dense matrices represented as lists of rows,
 each row a list of rationals (int or Fraction); results are lists of
-Fraction.  All results are exact; nothing is rounded or approximated.
-Elimination runs on Python ints: each row is scaled by the lcm of its
-denominators, reduced fraction-free, and divided by its pivot only at the
-end.  Pivoting is deterministic (first nonzero entry in column order), so
-reduced echelon forms, nullspace bases and echelonized spans are canonical
-for a given input.
+Fraction, all exact.  Elimination runs on Python ints: each row is scaled by
+the lcm of its denominators, reduced fraction-free, and divided by its pivot
+only at the end.  Pivoting is deterministic (first nonzero entry in column
+order), so reduced echelon forms, nullspace bases and echelonized spans are
+canonical for a given input; coordinates over a basis are read off one
+reduced form by the caller (liealg.structure_constants).
 
 Elimination is two steps.  The forward pass clears below each pivot and so
 fixes the pivot columns, hence the rank; back-substitution then clears above
@@ -139,31 +139,11 @@ def echelon_basis(vectors):
     return [red[i] for i in range(len(pivots))]
 
 
-def _augmented(vectors, target):
-    """The matrix whose columns are the vectors, then the target."""
-    return [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
-
-
 def in_span(vectors, target):
-    """True iff target lies in the span of vectors (all exact): the forward
-    pass of the augmented matrix puts no pivot in the target's column."""
-    return len(vectors) not in _forward(_augmented(vectors, target))[1]
-
-
-def coordinates_in_span(vectors, target):
-    """Coefficients expressing target over the given vectors, or None.
-
-    Solves the linear system exactly; if the vectors are dependent the
-    returned combination is the canonical one produced by elimination.
-    """
-    n = len(vectors)
-    red, pivots = rref(_augmented(vectors, target))
-    if n in pivots:
-        return None
-    coords = [ZERO] * n
-    for i, p in enumerate(pivots):
-        coords[p] = red[i][n]
-    return coords
+    """True iff target lies in the span of vectors (all exact): the forward pass
+    of the columns vectors, then target, puts no pivot in target's column."""
+    rows = [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
+    return len(vectors) not in _forward(rows)[1]
 
 
 def span_equal(vectors_a, vectors_b):

@@ -192,7 +192,7 @@ def suite_lie_closure(trials=200):
 
 
 def suite_cayley_hamilton(trials=200):
-    """A^3 - I1 A^2 + ((I1^2-I2)/2) A - det(A) Id = 0, exactly."""
+    """Cayley-Hamilton exactly, and I_n = Tr(A^n), Delta = det(A) by Mat3 products."""
     def body(rng):
         A = random_matrix(rng)
         s = invariants(A)
@@ -201,12 +201,12 @@ def suite_cayley_hamilton(trials=200):
             - Mat3.identity().scale(s.delta)
         if not lhs.is_zero():
             return f"Cayley-Hamilton fails for {_matrices(A=A)}"
-        # Newton recursion pins I4..I6 from I1..I3
-        for n in (3, 4, 5):
-            expect = s.I[0] * s.I[n - 1] - c2 * s.I[n - 2] + s.delta * s.I[n - 3]
-            if s.I[n] != expect:
+        power = A
+        for n in range(6):
+            if s.I[n] != power[0, 0] + power[1, 1] + power[2, 2]:
                 return f"trace recursion fails for {_matrices(A=A)}"
-        if s.delta != (s.I[0] ** 3 - 3 * s.I[0] * s.I[1] + 2 * s.I[2]) / 6:
+            power = power @ A
+        if s.delta != A.det():
             return f"determinant identity fails for {_matrices(A=A)}"
         return None
     return _run("Cayley-Hamilton and trace recursion", trials, 105, body)

@@ -451,6 +451,26 @@ def test_usage_error_maps_to_input_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["no-such-command"], ["classify"], ["classify", "--form"],
+    ["invariants", "--form", "g.json", "--generator", "x"],
+    ["selftest", "--trials", "many"], ["solve", "--form", "g.json", "--bogus"],
+])
+def test_usage_errors_are_one_line(capsys, argv):
+    # argparse would print its usage block first and exit 2, the audit's code
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: cubicsym") and err == ""
+
+
 def test_catalog_verify_regression_exit_code(capsys, monkeypatch):
     # with the known-discrepancy ledger emptied, the audit's findings become
     # regressions and the command signals them with exit code 2

@@ -552,6 +552,14 @@ def test_mat3_needs_a_3x3_array():
             Mat3(bad)
 
 
+def test_mat3_from_flat_takes_exactly_nine_entries():
+    assert Mat3.from_flat(list(range(9))) == Mat3([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    assert Mat3.from_flat(tuple(range(9))) == Mat3.from_flat(list(range(9)))
+    for n in (0, 1, 6, 8, 10, 12, 18):
+        with pytest.raises(ValueError, match="3x3"):
+            Mat3.from_flat(list(range(n)))
+
+
 def test_mat3_scale_refuses_floats_and_bools():
     for bad in INEXACT:
         with pytest.raises(TypeError):

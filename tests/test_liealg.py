@@ -11,7 +11,7 @@ from cubicsym import CubicForm, Mat3, bracket, colinearity, derived_algebra, \
 from cubicsym.liealg import ColinearityVerdict, DependentBasisError, NotClosedError, \
     StructureConstants, _nth_root
 from cubicsym.catalog import ENTRIES
-from cubicsym.linalg import coordinates_in_span, echelon_basis, rref
+from cubicsym.linalg import echelon_basis, rref
 from cubicsym.properties import random_form, random_invertible, random_matrix
 
 
@@ -73,6 +73,52 @@ def test_derived_algebra_and_solvable_pair_on_catalog_algebras():
     assert min(kinds.values()) >= 5, kinds
 
 
+def class2_bases():
+    """Bases of the nonabelian 2-dimensional algebras of the catalog branches
+    and of four pullbacks of each by random invertible frames, in both
+    orders (swapping A and B turns beta into -alpha, so both cases of
+    solvable_pair's X1 occur) and recombined by two rational invertible
+    matrices."""
+    rng = random.Random(149)
+    pairs = []
+    for entry in ENTRIES:
+        for branch in entry.branches():
+            g = entry.build(branch.params)
+            algebra = solve(g)
+            if algebra.radical_basis or algebra.kernel_dim != 2 \
+                    or structure_constants(list(algebra.generators)).is_zero():
+                continue
+            pairs.append(algebra.generators)
+            pairs += [solve(g.pullback(random_invertible(rng))).generators for _ in range(4)]
+    bases = []
+    for A, B in pairs:
+        bases += [[A, B], [B, A]]
+        for p, q, r, s in ((1, 0, Fraction(rng.randint(-9, 9), 7), 1),
+                           (Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1)):
+            if p * s - q * r:
+                bases.append([A.scale(p) + B.scale(q), A.scale(r) + B.scale(s)])
+    return bases
+
+
+def test_solvable_pair_normal_form_on_class2_bases_and_recombinations():
+    # X2 is the echelon vector of the derived algebra, bracket(X1, X2) is
+    # (3/2) X2, and X1, X2 span the algebra of the basis
+    bases = class2_bases()
+    cases = Counter()
+    for A, B in bases:
+        X1, X2 = solvable_pair([A, B])
+        assert [X2] == derived_algebra([A, B])
+        assert next(v for v in X2.flatten() if v) == 1
+        assert bracket(X1, X2) == X2.scale(Fraction(3, 2))
+        span = [A.flatten(), B.flatten()]
+        assert rank(span + [X1.flatten()]) == rank(span + [X2.flatten()]) == 2
+        assert rank([X1.flatten(), X2.flatten()]) == 2
+        cases[rank(span[:1] + [X1.flatten()])] += 1     # 1 when X1 is a multiple of A
+    assert len(bases) >= 200 and min(cases[1], cases[2]) >= 20, (len(bases), cases)
+
+
 def test_bracket_sign_convention():
     # canonical nonabelian pair: scaling plus the nilpotent partner of the
     # (A1, B1, C2) metric; the normalization is bracket(X1, X2) = (3/2) X2
@@ -120,6 +166,14 @@ def test_structure_constants_errors():
         derived_algebra([shear_up, shear_down])
 
 
+def coordinates(vectors, target):
+    """Coordinates of target over independent vectors, or None outside their
+    span: the last column of the reduced [vectors | target]."""
+    n = len(vectors)
+    red, pivots = rref([[v[i] for v in vectors] + [t] for i, t in enumerate(target)])
+    return None if n in pivots else [red[i][n] for i in range(n)]
+
+
 def structure_constants_oracle(basis):
     # reference: a rank check, then one augmented solve per bracket
     vectors = [m.flatten() for m in basis]
@@ -129,7 +183,7 @@ def structure_constants_oracle(basis):
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            coords = coordinates_in_span(vectors, bracket(basis[i], basis[j]).flatten())
+            coords = coordinates(vectors, bracket(basis[i], basis[j]).flatten())
             if coords is None:
                 raise NotClosedError(
                     f"bracket of generators {i} and {j} is outside the span")
@@ -169,6 +223,14 @@ def test_structure_constants_match_oracle():
     for basis in bases:
         expected = _outcome(structure_constants_oracle, basis)
         assert _outcome(structure_constants, basis) == expected, basis
+        if isinstance(expected, StructureConstants):
+            # directly: sum_k c[k][i][j] X_k == [X_i, X_j]
+            for i, Xi in enumerate(basis):
+                for j, Xj in enumerate(basis):
+                    total = Mat3.zero()
+                    for k, Xk in enumerate(basis):
+                        total = total + Xk.scale(expected.c[k][i][j])
+                    assert total == bracket(Xi, Xj), basis
         kind = expected[0] if isinstance(expected, tuple) else StructureConstants
         kinds[kind] = kinds.get(kind, 0) + 1
     assert min(kinds.get(k, 0) for k in

@@ -13,7 +13,7 @@ from fractions import Fraction
 from cubicsym import CubicForm, Mat3, build_system, invariants
 from cubicsym.catalog import ENTRIES
 from cubicsym.forms import COMPONENT_NAMES
-from cubicsym.linalg import coordinates_in_span, echelon_basis, in_span, nullspace, rref
+from cubicsym.linalg import echelon_basis, in_span, nullspace, rref
 
 
 def rref_fraction_oracle(matrix):
@@ -160,7 +160,6 @@ def test_derived_calls_match_the_oracle():
         assert echelon_basis(matrix) == rows[:len(pivots)]
         vectors, target = matrix[:-1], matrix[-1]
         coords, member = oracle_span(vectors, target)
-        assert coordinates_in_span(vectors, target) == coords, matrix
         assert in_span(vectors, target) is member, matrix
         if coords is not None:
             combo = [sum(c * Fraction(row[i]) for c, row in zip(coords, matrix))
@@ -173,23 +172,55 @@ def test_derived_calls_match_the_oracle():
     assert full_rank >= 30
 
 
-def test_augmented_solve_finds_the_planted_coordinates():
+def test_in_span_accepts_planted_and_rejects_perturbed_targets():
+    # planted combinations of four independent vectors lie in their span; a
+    # target moved by a small rational in entry i leaves it unless the unit
+    # vector e_i lies in the span, as the Fraction oracle decides
     rng = random.Random(61)
+    planted = outside = 0
     for _ in range(30):
         vectors = [[_entry(rng, 97) for _ in range(9)] for _ in range(4)]
         if len(rref(vectors)[1]) < 4:
             continue
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 97)) for _ in range(4)]
         target = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(9)]
-        assert coordinates_in_span(vectors, target) == coeffs
+        assert in_span(vectors, target) is True
+        planted += 1
+        for i in range(9):
+            moved = list(target)
+            moved[i] += Fraction(1, rng.randint(1, 97))
+            member = oracle_span(vectors, moved)[1]
+            assert in_span(vectors, moved) is member
+            outside += not member
+    assert planted >= 20 and outside >= 8 * planted, (planted, outside)
+
+
+def _rational_matrices(rng, count):
+    """Random rational 3x3 matrices with denominators up to 97, among them
+    singular ones (a row a combination of the others) and nilpotent ones
+    (conjugated strictly triangular matrices)."""
+    for n in range(count):
+        A = Mat3([[_entry(rng, 97) for _ in range(3)] for _ in range(3)])
+        if n % 5 == 1:
+            a, b = Fraction(rng.randint(-9, 9), rng.randint(1, 97)), rng.randint(-3, 3)
+            rows = A.rows
+            A = Mat3([rows[0], rows[1], [a * x + b * y for x, y in zip(rows[0], rows[1])]])
+        elif n % 5 == 3:
+            N = Mat3([[0, _entry(rng, 97), _entry(rng, 97)], [0, 0, _entry(rng, 97)],
+                      [0, 0, 0]])
+            T = Mat3([[_entry(rng, 97) for _ in range(3)] for _ in range(3)])
+            A = T @ N @ T.inverse() if T.det() else N
+        yield A
 
 
 def test_invariants_match_rational_matrix_powers():
+    # invariants reads I3..I6 off the characteristic polynomial; the oracle
+    # takes traces of Mat3 powers and Mat3's determinant
     rng = random.Random(71)
     matrices = [Mat3.zero(), Mat3.identity(),
                 Mat3.diag(Fraction(1, 2), -3, Fraction(2, 3))]
-    matrices += [Mat3([[_entry(rng, 97) for _ in range(3)] for _ in range(3)])
-                 for _ in range(60)]
+    matrices += _rational_matrices(rng, 2000)
+    singular = nilpotent = 0
     for A in matrices:
         series = invariants(A)
         power, traces = A, []
@@ -199,4 +230,7 @@ def test_invariants_match_rational_matrix_powers():
         assert list(series.I) == traces
         assert all(type(v) is Fraction for v in series.I)
         assert series.delta == A.det()
+        singular += A.det() == 0
+        nilpotent += (A @ A @ A).is_zero() and not A.is_zero()
+    assert singular >= 800 and nilpotent >= 300, (singular, nilpotent)
 
