@@ -15,8 +15,9 @@ Subcommands:
 
 Forms are JSON objects with component keys A1..A3, B1..B3, C1..C3, F and
 integer, "p/q" or decimal ("0.5") values in ASCII digits, with no exponent;
-missing keys are zero.  Transforms are 3x3 arrays of entries of the same
-kinds.  All output rationals are in lowest terms.
+missing keys are zero, and a repeated key is an input error.  Transforms
+are 3x3 arrays of entries of the same kinds.  All output rationals are in
+lowest terms.
 
 Exit codes: 0 success; 1 input error, a result with an integer longer than
 the interpreter prints (4,300 digits by default), an output pipe closed by
@@ -42,15 +43,27 @@ class InputError(Exception):
     pass
 
 
+def _unique_keys(pairs):
+    """json's object_pairs_hook: the object as a dict, refusing a repeated
+    key, which json would otherwise read as its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
     except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError, and the ValueError json raises
-        # for an integer literal longer than the interpreter's digit limit
+        # JSONDecodeError, UnicodeDecodeError, the ValueError json raises for
+        # an integer literal longer than the interpreter's digit limit, and a
+        # repeated key from _unique_keys
         raise InputError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         # json's decoder recurses once per nested array or object

@@ -10,11 +10,14 @@ vanishes.  K is linear in A, so the solution space is the kernel of a fixed
 entries of A.  Constant (translation) fields are isometries of every
 constant metric and are excluded from the model entirely.
 
-Each of the ten components of K is nine terms A^d_x G(...), and a term
+Each of the ten components of K is nine terms A^d_x G(...), 90 in all,
+but where indices repeat, the terms from equal positions coincide: there
+are 54 distinct terms, each with a multiplicity of 1, 2 or 3.  A term
 drops out whenever its component of G is zero; the catalog's normal forms
 have only one to six nonzero components.  So K is computed from a table,
-built once per form, of the terms whose G component is nonzero, and only
-those are summed.  Every entry of A is kept in the sum, zeros included.
+built once per form, of the distinct terms whose G component is nonzero,
+each with its multiplicity folded into its G value, and only those are
+summed.  Every entry of A is kept in the sum, zeros included.
 Skipping A's zeros as well, a stencil over the nine unit matrices of the
 Killing system, is a ROADMAP item: it waits on the benchmark harness,
 whose per-op records make census peak RSS grow with the op rate.  Each
@@ -36,6 +39,7 @@ is nonzero.  Most forms have a full-rank system, and for them elimination
 stops after its forward pass (linalg).
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from ._record import record
@@ -48,27 +52,32 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 _UNITS = tuple(tuple(tuple(_ONE if (r, c) == (i, j) else _ZERO for c in range(3))
                      for r in range(3)) for i in range(3) for j in range(3))
 
-# _TERMS[r] lists the nine terms of K(A) at the r-th sorted triple (a, b, c),
-# 0-based, as (d, x, k): A^d_x times the form's component k over
-# SORTED_TRIPLES, for (x, component) = (a, dbc), (b, adc), (c, abd)
+# _TERMS[r] lists the distinct terms of K(A) at the r-th sorted triple
+# (a, b, c), 0-based, as (d, x, k, n): n times A^d_x times the form's
+# component k over SORTED_TRIPLES.  Of the nine terms (x, component) = (a, dbc), (b, adc),
+# (c, abd) for each d, those at equal positions of (a, b, c) coincide, so a
+# triple with a repeated index has 6 or 3 distinct terms with multiplicity n
+# of 2 or 3: 54 over the ten triples, and the n of each triple sum to 9
 _TERMS = tuple(
-    tuple((d, x, _FULL_INDEX[i][j][k]) for d in range(3)
-          for x, (i, j, k) in ((a, (d, b, c)), (b, (a, d, c)), (c, (a, b, d))))
+    tuple((d, x, k, n) for (d, x, k), n in Counter(
+        (d, x, _FULL_INDEX[i][j][k]) for d in range(3)
+        for x, (i, j, k) in ((a, (d, b, c)), (b, (a, d, c)), (c, (a, b, d)))).items())
     for a, b, c in ((a - 1, b - 1, c - 1) for a, b, c in SORTED_TRIPLES))
 
 
 def _table(flat):
     """The table of K for a form's component vector over SORTED_TRIPLES: for
-    each sorted triple, the terms (d, x, G component) of _TERMS whose
-    component is nonzero."""
+    each sorted triple, the terms (d, x, n G component) of _TERMS whose
+    component is nonzero, each with its multiplicity folded into its value."""
     nonzero = [v != 0 for v in flat]
-    return [[(d, x, flat[k]) for d, x, k in terms if nonzero[k]] for terms in _TERMS]
+    return [[(d, x, n * flat[k]) for d, x, k, n in terms if nonzero[k]]
+            for terms in _TERMS]
 
 
 def _contract(table, rows, zero=_ZERO):
     """K(A) over SORTED_TRIPLES from a form's _table and the rows of A: for
-    each triple, zero plus the sum of A^d_x G over its terms.  A's zeros are
-    summed too; skipping them is the stencil of the module docstring."""
+    each triple, zero plus the sum of A^d_x (n G) over its terms.  A's zeros
+    are summed too; skipping them is the stencil of the module docstring."""
     return [sum([rows[d][x] * g for d, x, g in terms], zero) for terms in table]
 
 

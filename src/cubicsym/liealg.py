@@ -22,14 +22,19 @@ class NotClosedError(ValueError):
     """The span of the supplied generators is not closed under the bracket."""
 
 
+def _int_bracket(scaled_a, scaled_b):
+    """(P N - N P, d e), flattened, for the integer images (N, d) and (P, e)
+    of A = N/d and B = P/e that scale_to_integers gives."""
+    (a, d), (b, e) = scaled_a, scaled_b
+    return [sum(b[i + k] * a[3 * k + j] - a[i + k] * b[3 * k + j] for k in range(3))
+            for i in (0, 3, 6) for j in range(3)], d * e
+
+
 def bracket(A, B):
     """Matrix of the vector-field commutator [A x, B x]: with A = N/d and
     B = P/e for integer N and P, (P N - N P) / (d e), one Fraction per entry."""
-    a, d = scale_to_integers(A.flatten())
-    b, e = scale_to_integers(B.flatten())
-    de = d * e
-    entries = [sum(b[i + k] * a[3 * k + j] - a[i + k] * b[3 * k + j] for k in range(3))
-               for i in (0, 3, 6) for j in range(3)]
+    entries, de = _int_bracket(scale_to_integers(A.flatten()),
+                               scale_to_integers(B.flatten()))
     return Mat3.from_flat([Fraction(x, de) for x in entries])
 
 
@@ -47,19 +52,24 @@ class StructureConstants:
 
 
 def _reduced_brackets(basis):
-    """(pairs, brackets, red): the index pairs i < j, the flattened brackets
-    of those pairs and the reduced echelon form of [basis | brackets].
+    """(pairs, brackets, red): the index pairs i < j, the brackets of those
+    pairs as (integer row, denominator) pairs from _int_bracket, and the
+    reduced echelon form of [basis | integer rows].
 
     That one reduction of the 9 x (n + n(n-1)/2) matrix decides everything:
     the basis is independent iff each of its n columns gets a pivot, the
     first bracket column that gets a pivot is the first bracket outside the
-    span, and otherwise each bracket column holds its coordinates over the
-    basis.
+    span, and otherwise each bracket column holds its integer row's
+    coordinates over the basis, which are the bracket's times its
+    denominator.  Scaling a column changes neither the pivots nor the other
+    columns of the reduced form.
     """
     n = len(basis)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    brackets = [bracket(basis[i], basis[j]).flatten() for i, j in pairs]
-    red, pivots = rref(list(zip(*[m.flatten() for m in basis], *brackets)))
+    scaled = [scale_to_integers(m.flatten()) for m in basis]
+    brackets = [_int_bracket(scaled[i], scaled[j]) for i, j in pairs]
+    rows = [row for row, _ in brackets]
+    red, pivots = rref(list(zip(*[m.flatten() for m in basis], *rows)))
     if pivots[:n] != list(range(n)):
         raise DependentBasisError("generators are linearly dependent")
     if len(pivots) > n:
@@ -71,19 +81,19 @@ def _reduced_brackets(basis):
 def structure_constants(basis):
     """Exact structure constants over the given, necessarily closed, basis."""
     n = len(basis)
-    pairs, _, red = _reduced_brackets(basis)
+    pairs, brackets, red = _reduced_brackets(basis)
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for col, (i, j) in enumerate(pairs, start=n):
+    for col, ((i, j), (_, de)) in enumerate(zip(pairs, brackets), start=n):
         for k in range(n):
-            c[k][i][j] = red[k][col]
-            c[k][j][i] = -red[k][col]
+            c[k][i][j] = red[k][col] / de
+            c[k][j][i] = -c[k][i][j]
     return StructureConstants(c=tuple(tuple(tuple(row) for row in layer) for layer in c))
 
 
 def derived_algebra(basis):
     """Canonical echelon basis of the span of all pairwise brackets."""
     _, brackets, _ = _reduced_brackets(basis)  # raises on a dependent or non-closed basis
-    return [Mat3.from_flat(vec) for vec in echelon_basis(brackets)]
+    return [Mat3.from_flat(vec) for vec in echelon_basis([row for row, _ in brackets])]
 
 
 @record
@@ -219,10 +229,10 @@ def solvable_pair(basis):
     ideal, and a nonabelian algebra has (alpha, beta) != 0, so no case is left."""
     if len(basis) != 2:
         raise ValueError("expected a 2-dimensional algebra")
-    _, (ab,), red = _reduced_brackets(basis)
-    alpha, beta = red[0][2], red[1][2]
+    _, ((ab, de),), red = _reduced_brackets(basis)
+    alpha, beta = red[0][2] / de, red[1][2] / de
     if alpha == beta == 0:
         raise ValueError("algebra is not 2-dimensional nonabelian")
     X1, mu = (basis[0], beta) if beta else (basis[1], -alpha)
     pivot = next(v for v in ab if v)
-    return X1.scale(Fraction(3, 2) / mu), Mat3.from_flat([x / pivot for x in ab])
+    return X1.scale(Fraction(3, 2) / mu), Mat3.from_flat([Fraction(x, pivot) for x in ab])

@@ -192,22 +192,24 @@ def suite_lie_closure(trials=200):
 
 
 def suite_cayley_hamilton(trials=200):
-    """Cayley-Hamilton exactly, and I_n = Tr(A^n), Delta = det(A) by Mat3 products."""
+    """Delta = det(A), Cayley-Hamilton exactly, and I_n = Tr(A^n) by Mat3
+    products.  Delta is checked first: Cayley-Hamilton with the true I1 and
+    I2 already forces the true Delta, so a later check could never fail."""
     def body(rng):
         A = random_matrix(rng)
         s = invariants(A)
+        if s.delta != A.det():
+            return f"Delta != det(A) for {_matrices(A=A)}"
         c2 = (s.I[0] ** 2 - s.I[1]) / 2
         lhs = (A @ A @ A) - (A @ A).scale(s.I[0]) + A.scale(c2) \
             - Mat3.identity().scale(s.delta)
         if not lhs.is_zero():
             return f"Cayley-Hamilton fails for {_matrices(A=A)}"
         power = A
-        for n in range(6):
-            if s.I[n] != power[0, 0] + power[1, 1] + power[2, 2]:
-                return f"trace recursion fails for {_matrices(A=A)}"
+        for n in range(1, 7):
+            if s.I[n - 1] != power[0, 0] + power[1, 1] + power[2, 2]:
+                return f"I{n} != Tr(A^{n}) for {_matrices(A=A)}"
             power = power @ A
-        if s.delta != A.det():
-            return f"determinant identity fails for {_matrices(A=A)}"
         return None
     return _run("Cayley-Hamilton and trace recursion", trials, 105, body)
 

@@ -273,6 +273,17 @@ def test_overlong_integer_in_matrix_file_is_an_input_error(files, capsys, tmp_pa
     assert "is not valid JSON" in err
 
 
+def test_repeated_key_in_form_file_is_an_input_error(tmp_path, capsys):
+    # json alone reads a repeated key as its last value, here class 3(1)
+    form = tmp_path / "g.json"
+    form.write_text('{"A1": 1, "A1": 2}')
+    code, out, err = run(capsys, "classify", "--form", str(form))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "repeated key 'A1'" in err
+
+
 @pytest.mark.parametrize("option", ["--form", "--other", "--matrix"])
 def test_deeply_nested_json_is_an_input_error(files, capsys, tmp_path, option):
     # json's decoder raises RecursionError, not ValueError, on deep nesting
@@ -583,3 +594,21 @@ def test_selftest_failure_prints_matrices_as_json(capsys, monkeypatch):
         assert matrices, line
         for _, text in matrices:
             assert isinstance(Mat3.from_json(json.loads(text)), Mat3)
+
+
+@pytest.mark.parametrize("wrong, identity", [
+    (lambda s: liealg.InvariantSeries(I=s.I, delta=s.delta + 1), "Delta != det(A)"),
+    (lambda s: liealg.InvariantSeries(I=s.I[:2] + (s.I[2] + 1,) + s.I[3:], delta=s.delta),
+     "I3 != Tr(A^3)"),
+    (lambda s: liealg.InvariantSeries(I=s.I[:5] + (-s.I[5] - 1,), delta=s.delta),
+     "I6 != Tr(A^6)"),
+])
+def test_cayley_hamilton_failures_name_the_broken_identity(monkeypatch, wrong, identity):
+    # Delta is checked before Cayley-Hamilton, which reads only I1, I2 and
+    # Delta, so a wrong I3 or I6 is caught after it; each failure names the
+    # identity that broke
+    monkeypatch.setattr(properties, "invariants", lambda A: wrong(liealg.invariants(A)))
+    result = properties.suite_cayley_hamilton(trials=3)
+    assert result.name == "Cayley-Hamilton and trace recursion"
+    assert [f.split(" for A = ")[0] for f in result.failures] == \
+        [f"trial {i}: {identity}" for i in range(3)]

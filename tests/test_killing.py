@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from cubicsym import CubicForm, Mat3, build_system, classify, killing_operator, solve, \
     verify_killing
@@ -38,6 +38,13 @@ def is_dense(g):
     return g.affine_type() == 10 and any(v.denominator > 1 for v in g.components())
 
 
+# each component alone, at 1 and at -7/3: each coefficient of A^d_x in a
+# component of K then comes from one distinct term of killing._TERMS, so
+# each multiplicity (1, 2 or 3) is checked alone
+SINGLE_COMPONENT_FORMS = [CubicForm(**{name: v}) for name in COMPONENT_NAMES
+                          for v in (1, Fraction(-7, 3))]
+
+
 def test_killing_operator_matches_oracle_and_is_symmetric():
     rng = random.Random(41)
     dense = 0
@@ -50,6 +57,11 @@ def test_killing_operator_matches_oracle_and_is_symmetric():
         for idx, value in oracle.items():
             assert K.component(*idx) == value
     assert dense >= 20
+    for g in SINGLE_COMPONENT_FORMS:
+        for A in (random_matrix(rng), rational_matrix(rng)):
+            K = killing_operator(g, A)
+            oracle = killing_oracle(g, A)
+            assert all(K.component(*idx) == value for idx, value in oracle.items())
 
 
 def test_killing_operator_examples():
@@ -105,9 +117,9 @@ def test_build_system_stencil_entries():
     # component keeps the d = i terms with a, b or c equal to j
     rng = random.Random(79)
     dense = 0
-    for n in range(260):
-        g = random_form(rng) if n < 200 else dense_form(rng)
-        dense += n >= 200 and is_dense(g)
+    drawn = (random_form(rng) if n < 200 else dense_form(rng) for n in range(260))
+    for n, g in enumerate(chain(drawn, SINGLE_COMPONENT_FORMS)):
+        dense += 200 <= n < 260 and is_dense(g)
         matrix = build_system(g).matrix
         for row, (a, b, c) in zip(matrix, SORTED_TRIPLES):
             for i, j in product((1, 2, 3), repeat=2):
@@ -180,9 +192,9 @@ def test_integer_images_match_fraction_contraction():
     rng = random.Random(89)
     dense = 0
     outcomes = {True: 0, False: 0}
-    for n in range(200):
-        g = random_form(rng) if n < 120 else dense_form(rng)
-        dense += n >= 120 and is_dense(g)
+    drawn = (random_form(rng) if n < 120 else dense_form(rng) for n in range(200))
+    for n, g in enumerate(chain(drawn, SINGLE_COMPONENT_FORMS)):
+        dense += 120 <= n < 200 and is_dense(g)
         A = Mat3.zero()
         for G in solve(g).generators:
             A = A + G.scale(Fraction(rng.randint(-5, 5), rng.randint(1, 9)))
