@@ -23,8 +23,7 @@ from .killing import (KillingSystem, SymmetryAlgebra, build_system,
                       killing_operator, solve, verify_killing)
 from .liealg import (ColinearityVerdict, DependentBasisError, InvariantSeries,
                      NotClosedError, StructureConstants, bracket, colinearity,
-                     derived_algebra, invariants, solvable_pair,
-                     structure_constants)
+                     invariants, solvable_pair, structure_constants)
 from .classify import (ClassificationReport, ComparisonVerdict, SymmetryClass,
                        classify, compare, NOT_EQUIVALENT, POSSIBLY_EQUIVALENT)
 
@@ -34,8 +33,7 @@ __all__ = [
     "solve", "verify_killing",
     "ColinearityVerdict", "DependentBasisError", "InvariantSeries",
     "NotClosedError", "StructureConstants", "bracket", "colinearity",
-    "derived_algebra", "invariants", "solvable_pair",
-    "structure_constants",
+    "invariants", "solvable_pair", "structure_constants",
     "ClassificationReport", "ComparisonVerdict", "SymmetryClass", "classify",
     "compare", "NOT_EQUIVALENT", "POSSIBLY_EQUIVALENT",
     "catalog",

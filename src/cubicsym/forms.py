@@ -246,8 +246,10 @@ class CubicForm:
                                value if value.__class__ is Fraction else parse_scalar(value))
 
     def component(self, alpha, beta, gamma):
-        """Tensor component for any index order; permutation invariant."""
-        if alpha not in (1, 2, 3) or beta not in (1, 2, 3) or gamma not in (1, 2, 3):
+        """Tensor component for any index order; permutation invariant.
+        Each index is an int in 1..3; any other value, a bool or a float
+        included, raises IndexError."""
+        if any(i.__class__ is not int or not 1 <= i <= 3 for i in (alpha, beta, gamma)):
             raise IndexError(f"index {(alpha, beta, gamma)} out of range 1..3")
         return getattr(self, _SORTED_NAMES[_FULL_INDEX[alpha - 1][beta - 1][gamma - 1]])
 
@@ -293,7 +295,7 @@ class CubicForm:
         G = _full_tensor(self.components())
         contraction = [[G[d][b][c] for d in range(3)]
                        for b, c in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
-        return [tuple(vec) for vec in nullspace(contraction, ncols=3)]
+        return [tuple(vec) for vec in nullspace(contraction)]
 
     def affine_type(self):
         """Number of nonzero stored components (frame dependent)."""

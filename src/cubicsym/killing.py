@@ -17,10 +17,7 @@ drops out whenever its component of G is zero; the catalog's normal forms
 have only one to six nonzero components.  So K is computed from a table,
 built once per form, of the distinct terms whose G component is nonzero,
 each with its multiplicity folded into its G value, and only those are
-summed.  Every entry of A is kept in the sum, zeros included.
-Skipping A's zeros as well, a stencil over the nine unit matrices of the
-Killing system, is a ROADMAP item: it waits on the benchmark harness,
-whose per-op records make census peak RSS grow with the op rate.  Each
+summed.  Every entry of A is kept in the sum, zeros included.  Each
 sum is of exact rationals, so the order of its terms does not change its
 value.  killing_operator and verify_killing sum over ints: K is bilinear,
 so K(A) = K_M(N) / (m d) for the integer images G = M/m and A = N/d.
@@ -76,8 +73,8 @@ def _table(flat):
 
 def _contract(table, rows, zero=_ZERO):
     """K(A) over SORTED_TRIPLES from a form's _table and the rows of A: for
-    each triple, zero plus the sum of A^d_x (n G) over its terms.  A's zeros
-    are summed too; skipping them is the stencil of the module docstring."""
+    each triple, zero plus the sum of A^d_x (n G) over its terms.  Every
+    entry of A is summed, zeros included."""
     return [sum([rows[d][x] * g for d, x, g in terms], zero) for terms in table]
 
 
@@ -106,7 +103,7 @@ class KillingSystem:
     matrix: tuple
 
     def kernel(self):
-        return nullspace(self.matrix, ncols=9)
+        return nullspace(self.matrix)
 
 
 def build_system(form):

@@ -11,7 +11,7 @@ from math import isqrt
 
 from ._record import record
 from .forms import Mat3, _det, format_scalar
-from .linalg import echelon_basis, rref, scale_to_integers
+from .linalg import rref, scale_to_integers
 
 
 class DependentBasisError(ValueError):
@@ -88,12 +88,6 @@ def structure_constants(basis):
             c[k][i][j] = red[k][col] / de
             c[k][j][i] = -c[k][i][j]
     return StructureConstants(c=tuple(tuple(tuple(row) for row in layer) for layer in c))
-
-
-def derived_algebra(basis):
-    """Canonical echelon basis of the span of all pairwise brackets."""
-    _, brackets, _ = _reduced_brackets(basis)  # raises on a dependent or non-closed basis
-    return [Mat3.from_flat(vec) for vec in echelon_basis([row for row, _ in brackets])]
 
 
 @record

@@ -5,15 +5,15 @@ each row a list of rationals (int or Fraction); results are lists of
 Fraction, all exact.  Elimination runs on Python ints: each row is scaled by
 the lcm of its denominators, reduced fraction-free, and divided by its pivot
 only at the end.  Pivoting is deterministic (first nonzero entry in column
-order), so reduced echelon forms, nullspace bases and echelonized spans are
-canonical for a given input; coordinates over a basis are read off one
-reduced form by the caller (liealg.structure_constants).
+order), so reduced echelon forms and nullspace bases are canonical for a
+given input; coordinates over a basis are read off one reduced form by the
+caller (liealg.structure_constants).
 
 Elimination is two steps.  The forward pass clears below each pivot and so
 fixes the pivot columns, hence the rank; back-substitution then clears above
 each pivot.  Where the rank is the answer the forward pass is all that runs:
-nullspace returns [] once every column has a pivot, and in_span asks only
-whether the target's column of the augmented matrix gets a pivot.
+nullspace returns [] once every column has a pivot, and in_span and
+span_equal compare ranks.
 """
 
 from fractions import Fraction
@@ -94,19 +94,16 @@ def _back_substitute(rows, pivots):
 def rref(matrix):
     """Reduced row echelon form: the forward pass, then back-substitution.
 
-    Returns (rows, pivot_columns), with a zero row for each row beyond the
-    rank.  The input is not modified.  Scaling a row does not change the
-    reduced form, so rows are eliminated as integer multiples of themselves.
+    Returns (rows, pivot_columns), one reduced row per pivot.  The input is
+    not modified.  Scaling a row does not change the reduced form, so rows
+    are eliminated as integer multiples of themselves.
     """
     rows, pivots = _forward(matrix)
-    if not rows:
-        return [], []
-    zero_rows = [[ZERO] * len(rows[0]) for _ in range(len(rows) - len(pivots))]
-    return _back_substitute(rows, pivots) + zero_rows, pivots
+    return _back_substitute(rows, pivots), pivots
 
 
-def nullspace(matrix, ncols):
-    """Canonical basis of the right kernel of a matrix with ncols columns.
+def nullspace(matrix):
+    """Canonical basis of the right kernel of a nonempty matrix.
 
     For each free column f the basis vector has a 1 in position f and the
     negated reduced-echelon entries in the pivot positions.  Basis vectors
@@ -115,6 +112,7 @@ def nullspace(matrix, ncols):
     back-substitution and no Fraction made.
     """
     rows, pivots = _forward(matrix)
+    ncols = len(rows[0])
     if len(pivots) == ncols:
         return []
     red = _back_substitute(rows, pivots)
@@ -131,21 +129,18 @@ def nullspace(matrix, ncols):
     return basis
 
 
-def echelon_basis(vectors):
-    """Canonical basis (reduced echelon rows) of the span of the given vectors."""
-    if not vectors:
-        return []
-    red, pivots = rref(list(vectors))
-    return [red[i] for i in range(len(pivots))]
+def _rank(rows):
+    """Rank of a list of rows: the pivot count of the forward pass."""
+    return len(_forward(rows)[1])
 
 
 def in_span(vectors, target):
-    """True iff target lies in the span of vectors (all exact): the forward pass
-    of the columns vectors, then target, puts no pivot in target's column."""
-    rows = [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
-    return len(vectors) not in _forward(rows)[1]
+    """True iff target lies in the span of vectors (all exact): appending it
+    leaves the rank unchanged."""
+    return _rank([*vectors, target]) == _rank(vectors)
 
 
 def span_equal(vectors_a, vectors_b):
-    """True iff both vector lists span the same subspace."""
-    return echelon_basis(vectors_a) == echelon_basis(vectors_b)
+    """True iff both vector lists span the same subspace: each has the rank
+    of their union."""
+    return _rank(vectors_a) == _rank([*vectors_a, *vectors_b]) == _rank(vectors_b)

@@ -51,8 +51,7 @@ def random_form(rng):
     # a catalog instance with probability 7/20, compared exactly
     if rng.random() < Fraction(7, 20):
         entry = catalog.ENTRIES[rng.randrange(len(catalog.ENTRIES))]
-        branch = entry.branches()[0]
-        return entry.build(branch.params)
+        return entry.build(entry.defaults())
     names = list(COMPONENT_NAMES)
     rng.shuffle(names)
     k = rng.randint(1, 5)

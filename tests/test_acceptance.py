@@ -17,7 +17,6 @@ from cubicsym import POSSIBLY_EQUIVALENT, CubicForm, Mat3, bracket, classify, co
     tau0_upper_bound, verify_killing
 from cubicsym.catalog import KNOWN_DISCREPANCIES, get_entry, \
     projective_table, verify_all, verify_branch
-from cubicsym.liealg import derived_algebra
 from cubicsym.properties import (suite_cayley_hamilton,
                                  suite_conjugation_invariance,
                                  suite_evaluate_pullback,
@@ -99,7 +98,6 @@ def test_commutator_structure():
         algebra = solve(instantiate(get_entry(cid), overrides))
         assert algebra.finite_nontrivial_dim == 2, cid
         assert structure_constants(list(algebra.generators)).is_zero(), cid
-        assert derived_algebra(list(algebra.generators)) == [], cid
     # the other sign branch of 3.3 degenerates to an infinite family; its
     # ledger entry records the resolution
     degenerate = solve(instantiate(get_entry("3.3"), {"eps": 1}))
@@ -114,7 +112,6 @@ def test_commutator_structure():
         assert algebra.finite_nontrivial_dim == 2, cid
         basis = list(algebra.generators)
         assert not structure_constants(basis).is_zero(), cid
-        assert len(derived_algebra(basis)) == 1, cid
         X1, X2 = solvable_pair(basis)
         assert bracket(X1, X2) == X2.scale(Fraction(3, 2)), cid
     _done("commutator structure",

@@ -88,7 +88,7 @@ def fixed_forms(*matrices):
     units = [CubicForm(**{name: 1}) for name in COMPONENT_NAMES]
     rows = [list(row) for A in matrices
             for row in zip(*(vector(killing_operator(u, A)) for u in units))]
-    return nullspace(rows, ncols=10)
+    return nullspace(rows)
 
 
 def test_canonical_generators_have_the_branch_invariants():

@@ -46,6 +46,14 @@ def test_component_out_of_range():
         CubicForm(F=1).component(1, 2, 4)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, 0, 4, "1"])
+def test_component_refuses_an_index_that_is_not_an_int_in_range(index):
+    g = CubicForm(A1=1, F=2)
+    for indices in ((index, 2, 3), (1, index, 3), (1, 2, index)):
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            g.component(*indices)
+
+
 def test_evaluate_examples():
     assert CubicForm(F=1).evaluate((1, 1, 1)) == 6
     assert CubicForm(A1=1, A2=1, A3=1).evaluate((1, 2, 3)) == 36

@@ -56,7 +56,7 @@ def test_public_names():
         "NOT_EQUIVALENT", "NotClosedError", "POSSIBLY_EQUIVALENT",
         "SingularTransformError", "StructureConstants", "SymmetryAlgebra",
         "SymmetryClass", "bracket", "build_system", "catalog", "classify",
-        "colinearity", "compare", "derived_algebra", "invariants",
+        "colinearity", "compare", "invariants",
         "killing_operator", "solvable_pair", "solve", "structure_constants",
         "tau0_upper_bound", "verify_killing",
     ]

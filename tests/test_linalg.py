@@ -2,9 +2,9 @@
 
 `rref` eliminates over ints and divides by the pivot only at the end; the
 reduced row echelon form is unique, so it must agree exactly with the plain
-Fraction Gauss-Jordan loop kept here as the oracle.  `nullspace` and
-`in_span` stop after the forward pass when the rank answers them, so their
-oracle answers are built here from the oracle's (rows, pivots).
+Fraction Gauss-Jordan loop kept here as the oracle.  `nullspace`, `in_span`
+and `span_equal` stop after the forward pass when the rank answers them, so
+their oracle answers are built here from the oracle's (rows, pivots).
 """
 
 import random
@@ -13,7 +13,7 @@ from fractions import Fraction
 from cubicsym import CubicForm, Mat3, build_system, invariants
 from cubicsym.catalog import ENTRIES
 from cubicsym.forms import COMPONENT_NAMES
-from cubicsym.linalg import echelon_basis, in_span, nullspace, rref
+from cubicsym.linalg import in_span, nullspace, rref, span_equal
 
 
 def rref_fraction_oracle(matrix):
@@ -110,7 +110,8 @@ def test_rref_matches_fraction_oracle():
         before = [list(row) for row in matrix]
         rows, pivots = rref(matrix)
         assert matrix == before
-        assert (rows, pivots) == rref_fraction_oracle(matrix), matrix
+        oracle_rows, oracle_pivots = rref_fraction_oracle(matrix)
+        assert (rows, pivots) == (oracle_rows[:len(oracle_pivots)], oracle_pivots), matrix
         assert all(type(v) is Fraction for row in rows for v in row)
 
 
@@ -150,14 +151,13 @@ def test_derived_calls_match_the_oracle():
             continue
         before = [list(row) for row in matrix]
         ncols = len(matrix[0])
-        rows, pivots = rref_fraction_oracle(matrix)
+        pivots = rref_fraction_oracle(matrix)[1]
         full_rank += len(pivots) == ncols
-        kernel = nullspace(matrix, ncols)
+        kernel = nullspace(matrix)
         assert kernel == oracle_nullspace(matrix, ncols), matrix
         assert len(kernel) == ncols - len(pivots)
         for vec in kernel:
             assert not any(_mat_vec(matrix, vec))
-        assert echelon_basis(matrix) == rows[:len(pivots)]
         vectors, target = matrix[:-1], matrix[-1]
         coords, member = oracle_span(vectors, target)
         assert in_span(vectors, target) is member, matrix
@@ -170,6 +170,59 @@ def test_derived_calls_match_the_oracle():
         assert in_span(columns, [sum(row) for row in matrix]) is True
         assert matrix == before
     assert full_rank >= 30
+
+
+def oracle_span_equal(vectors_a, vectors_b):
+    """Whether the nonzero rows of the oracle's reductions agree."""
+    def basis(vectors):
+        return [row for row in rref_fraction_oracle(vectors)[0] if any(row)]
+    return basis(vectors_a) == basis(vectors_b)
+
+
+def _recombined(rng, matrix):
+    """Row i of the matrix times a nonzero rational plus rational multiples
+    of the rows after it, an invertible recombination, with a row repeated
+    and a zero row added, shuffled: the same span."""
+    ncols = len(matrix[0])
+    out = []
+    for i in range(len(matrix)):
+        coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))]
+        coeffs += [_entry(rng, 9) for _ in matrix[i + 1:]]
+        out.append([sum(c * Fraction(row[k]) for c, row in zip(coeffs, matrix[i:]))
+                    for k in range(ncols)])
+    out += [list(rng.choice(out)), [0] * ncols]
+    rng.shuffle(out)
+    return out
+
+
+def test_span_equal_matches_fraction_oracle():
+    # equal spans: recombinations, repeated and zero rows, empty lists;
+    # unequal spans: a basis row moved off the span at a free column, which
+    # keeps the rank, and a subspace against its superspace
+    rng = random.Random(89)
+    equal = moved = nested = 0
+    for matrix in CASES:
+        if not matrix or not matrix[0]:
+            continue
+        ncols = len(matrix[0])
+        rows, pivots = rref_fraction_oracle(matrix)
+        basis = rows[:len(pivots)]
+        pairs = [(matrix, _recombined(rng, matrix)), ([], [[0] * ncols]), ([], matrix)]
+        free = [c for c in range(ncols) if c not in pivots]
+        if basis and free:
+            shifted = [list(row) for row in basis]
+            shifted[rng.randrange(len(basis))][rng.choice(free)] += Fraction(1, rng.randint(1, 97))
+            pairs.append((matrix, shifted))
+            moved += 1
+        if basis:
+            pairs.append((basis[:-1], matrix))
+            nested += 1
+        for a, b in pairs:
+            expected = oracle_span_equal(a, b)
+            assert span_equal(a, b) is span_equal(b, a) is expected, (a, b)
+            equal += expected
+    assert equal >= 2 * len(CASES) - 10 and moved >= 100 and nested >= 300, \
+        (equal, moved, nested)
 
 
 def test_in_span_accepts_planted_and_rejects_perturbed_targets():
