@@ -70,7 +70,7 @@ class CatalogEntry:
     expected: object           # class label, or params -> class label
     series: object = None      # params -> ([I1..I6], Delta) closed form
     series_tag: str | None = None
-    inv_matrix: object = None  # params -> Mat3; defaults to the first field
+    inv_matrix: object = None  # params -> Mat3, where it differs from the first field
     extra_branches: tuple = () # (label, overrides, claim, tau_override)
 
     @property
@@ -88,8 +88,7 @@ class CatalogEntry:
     def resolve_params(self, overrides=None):
         params = self.defaults()
         for name, value in (overrides or {}).items():
-            spec = next((p for p in self.params if p.name == name), None)
-            if spec is None:
+            if name not in params:
                 raise ParameterRangeError(f"{self.id}: unknown parameter {name!r}")
             params[name] = parse_scalar(value)
         for spec in self.params:
@@ -159,9 +158,6 @@ ENTRIES = []
 
 
 def _entry(**kw):
-    if kw.get("series") is not None and kw.get("inv_matrix") is None:
-        generators = kw["generators"]
-        kw["inv_matrix"] = lambda p: generators(p)[0]
     e = CatalogEntry(**kw)
     ENTRIES.append(e)
     return e
@@ -873,18 +869,20 @@ def verify_branch(entry, branch):
                          + (" plus infinite family" if algebra.has_infinite_family else "")))
 
     kernel_vectors = [g.flatten() for g in algebra.generators]
-    recorded = [("field", i, G)
+
+    def outcome(G):
+        ok = verify_killing(form, G)
+        return ok, ok and in_span(kernel_vectors, G.flatten())
+
+    recorded = [("field", i, G, outcome(G))
                 for i, G in enumerate(entry.generators(branch.params))]
     if entry.inv_matrix is not None:
-        recorded.append(("invariant-matrix", 0, entry.inv_matrix(branch.params)))
-    checks, verified, outcomes = [], {}, []
-    for source, i, G in recorded:
-        # an invariant matrix equal to a field is checked once, for the field;
-        # matrices are compared, not hashed: a Mat3 hash is nine Fraction hashes
-        if not any(H == G for H, _ in outcomes):
-            ok = verify_killing(form, G)
-            outcomes.append((G, (ok, ok and in_span(kernel_vectors, G.flatten()))))
-        ok, in_kernel = next(o for H, o in outcomes if H == G)
+        G = entry.inv_matrix(branch.params)
+        recorded.append(("invariant-matrix", 0, G, outcome(G)))
+    elif entry.series is not None:  # the series is of the first field
+        recorded.append(("invariant-matrix", 0, *recorded[0][2:]))
+    checks, verified = [], {}
+    for source, i, G, (ok, in_kernel) in recorded:
         checks.append(GeneratorCheck(source, i, ok, in_kernel))
         if ok:
             verified.setdefault(source, G)

@@ -114,14 +114,19 @@ def _matrix_lines(rows):
     return "\n".join("    [" + ", ".join(row) + "]" for row in rows)
 
 
+def _algebra_lines(a):
+    """The lines solve and classify share, from a SymmetryAlgebra's JSON."""
+    print(f"finite nontrivial dim:   {a['finite_nontrivial_dim']}")
+    print(f"infinite family:         {'yes' if a['has_infinite_family'] else 'no'}")
+    print(f"radical dimension:       {len(a['radical'])}")
+
+
 def cmd_solve(args):
     algebra = solve(load_form(args.form))
 
     def plain(p):
         print(f"kernel dimension:        {p['kernel_dim']}")
-        print(f"finite nontrivial dim:   {p['finite_nontrivial_dim']}")
-        print(f"infinite family:         {'yes' if p['has_infinite_family'] else 'no'}")
-        print(f"radical dimension:       {len(p['radical'])}")
+        _algebra_lines(p)
         for i, g in enumerate(p["generators"]):
             print(f"generator {i}:")
             print(_matrix_lines(g))
@@ -139,10 +144,7 @@ def cmd_classify(args):
         print(f"symmetry class:          {p['class']}")
         if p["complex_equivalent_to"]:
             print(f"complex-equivalent to:   class {p['complex_equivalent_to']}")
-        print(f"finite nontrivial dim:   {p['algebra']['finite_nontrivial_dim']}")
-        print(f"infinite family:         "
-              f"{'yes' if p['algebra']['has_infinite_family'] else 'no'}")
-        print(f"radical dimension:       {len(p['algebra']['radical'])}")
+        _algebra_lines(p["algebra"])
         if p["invariants"]:
             print(f"invariants I1..I6:       [{', '.join(p['invariants']['I'])}]")
             print(f"determinant:             {p['invariants']['Delta']}")
@@ -336,55 +338,34 @@ def build_parser():
         prog="cubicsym",
         description="Exact symmetry algebras of homogeneous cubic metrics on 3-space")
     sub = parser.add_subparsers(dest="command", required=True)
+    form, as_json = _Parser(add_help=False), _Parser(add_help=False)
+    form.add_argument("--form", required=True, help="form JSON file")
+    as_json.add_argument("--json", action="store_true")
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("solve", cmd_solve, help="symmetry algebra of a form")
-    p.add_argument("--form", required=True, help="form JSON file")
-    p.add_argument("--json", action="store_true")
-
-    p = add("classify", cmd_classify, help="symmetry class of a form")
-    p.add_argument("--form", required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("invariants", cmd_invariants, help="invariant series of a generator")
-    p.add_argument("--form", required=True)
+    add("solve", cmd_solve, "symmetry algebra of a form", form, as_json)
+    add("classify", cmd_classify, "symmetry class of a form", form, as_json)
+    p = add("invariants", cmd_invariants, "invariant series of a generator", form, as_json)
     p.add_argument("--generator", type=int, default=0,
                    help="index into the computed generator basis (default 0)")
-    p.add_argument("--json", action="store_true")
-
-    p = add("radical", cmd_radical, help="radical basis of a form")
-    p.add_argument("--form", required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("transform", cmd_transform, help="pull a form back along a transform")
-    p.add_argument("--form", required=True)
+    add("radical", cmd_radical, "radical basis of a form", form, as_json)
+    p = add("transform", cmd_transform, "pull a form back along a transform", form)
     p.add_argument("--matrix", required=True, help="3x3 transform JSON file")
-
-    p = add("compare", cmd_compare, help="necessary-condition equivalence check")
-    p.add_argument("--form", required=True)
+    p = add("compare", cmd_compare, "necessary-condition equivalence check", form, as_json)
     p.add_argument("--other", required=True, help="second form JSON file")
-    p.add_argument("--json", action="store_true")
 
-    p = add("catalog-list", cmd_catalog_list, help="list the built-in catalog")
-    p.add_argument("--json", action="store_true")
-
-    p = add("catalog-verify", cmd_catalog_verify, help="audit catalog entries")
+    add("catalog-list", cmd_catalog_list, "list the built-in catalog", as_json)
+    p = add("catalog-verify", cmd_catalog_verify, "audit catalog entries", as_json)
     p.add_argument("--all", action="store_true", help="audit everything (default)")
     p.add_argument("--id", help="audit a single catalog id, e.g. 3.8")
-    p.add_argument("--json", action="store_true")
-
-    p = add("projective-table", cmd_projective_table,
-            help="projective vs symmetry class correspondence")
-    p.add_argument("--json", action="store_true")
-
-    p = add("selftest", cmd_selftest,
-            help="randomized property suites plus the full catalog audit")
+    add("projective-table", cmd_projective_table,
+        "projective vs symmetry class correspondence", as_json)
+    p = add("selftest", cmd_selftest, "randomized property suites plus the full catalog audit")
     p.add_argument("--trials", type=int, default=200)
-
     return parser
 
 

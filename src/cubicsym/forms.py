@@ -100,11 +100,17 @@ class SingularTransformError(ValueError):
     """Raised when an operation requires an invertible transform."""
 
 
+def _cross(u, v):
+    """Cross product u x v of two 3-vectors of ints or rationals."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def _det(r):
-    """Determinant of a 3x3 array of ints or rationals."""
-    return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+    """Determinant r[0] . (r[1] x r[2]) of a 3x3 array of ints or rationals."""
+    c = _cross(r[1], r[2])
+    return r[0][0] * c[0] + r[0][1] * c[1] + r[0][2] * c[2]
 
 
 @record
@@ -169,19 +175,11 @@ class Mat3:
         d = self.det()
         if d == 0:
             raise SingularTransformError("matrix is singular")
-        r = self.rows
-        cof = [
-            [r[1][1] * r[2][2] - r[1][2] * r[2][1],
-             r[0][2] * r[2][1] - r[0][1] * r[2][2],
-             r[0][1] * r[1][2] - r[0][2] * r[1][1]],
-            [r[1][2] * r[2][0] - r[1][0] * r[2][2],
-             r[0][0] * r[2][2] - r[0][2] * r[2][0],
-             r[0][2] * r[1][0] - r[0][0] * r[1][2]],
-            [r[1][0] * r[2][1] - r[1][1] * r[2][0],
-             r[0][1] * r[2][0] - r[0][0] * r[2][1],
-             r[0][0] * r[1][1] - r[0][1] * r[1][0]],
-        ]
-        return Mat3(tuple(tuple(v / d for v in row) for row in cof))
+        # the adjugate: row i is column i+1 x column i+2, so its dot product
+        # with column j is det when j == i and 0 otherwise
+        c = tuple(zip(*self.rows))
+        return Mat3(tuple(tuple(v / d for v in _cross(c[(i + 1) % 3], c[(i + 2) % 3]))
+                          for i in range(3)))
 
     def is_zero(self):
         return all(v == 0 for row in self.rows for v in row)

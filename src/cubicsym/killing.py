@@ -71,18 +71,18 @@ def _table(flat):
             for terms in _TERMS]
 
 
-def _contract(table, rows, zero=_ZERO):
+def _contract(table, rows):
     """K(A) over SORTED_TRIPLES from a form's _table and the rows of A: for
-    each triple, zero plus the sum of A^d_x (n G) over its terms.  Every
-    entry of A is summed, zeros included."""
-    return [sum([rows[d][x] * g for d, x, g in terms], zero) for terms in table]
+    each triple, the sum of A^d_x (n G) over its terms, 0 for a triple
+    with none.  Every entry of A is summed, zeros included."""
+    return [sum([rows[d][x] * g for d, x, g in terms]) for terms in table]
 
 
 def _int_contract(form, A):
     """(K_M(N), m d) for the integer images G = M/m and A = N/d."""
     flat, m = scale_to_integers(form.components())
     a, d = scale_to_integers(A.flatten())
-    return _contract(_table(flat), (a[0:3], a[3:6], a[6:9]), 0), m * d
+    return _contract(_table(flat), (a[0:3], a[3:6], a[6:9])), m * d
 
 
 def killing_operator(form, A):

@@ -132,10 +132,10 @@ def test_invariant_tables(audit):
     series = invariants(solve(instantiate(get_entry("2.1"))).generators[0])
     assert list(series.I) == [0, 2, 0, 2, 0, 2] and series.delta == 0
     entry = get_entry("2.4")
-    series = invariants(entry.inv_matrix(entry.defaults()))
+    series = invariants(entry.generators(entry.defaults())[0])
     assert list(series.I) == [-1, 5, -7, 17, -31, 65]
     entry = get_entry("3.8")
-    rotation = entry.inv_matrix({"eps1": Fraction(1), "eps2": Fraction(1)})
+    rotation = entry.generators({"eps1": Fraction(1), "eps2": Fraction(1)})[0]
     assert invariants(rotation).I[1] == -2
     _done("invariant tables", f"{checked} branch series verified exactly")
 
@@ -256,8 +256,8 @@ def test_colinearity_groups():
     boost = invariants(solve(instantiate(get_entry("2.1"))).generators[0])
     entry = get_entry("3.8")
     rotation_form = instantiate(entry, {"eps1": 1, "eps2": 1})
-    rotation = invariants(entry.inv_matrix({"eps1": Fraction(1),
-                                            "eps2": Fraction(1)}))
+    rotation = invariants(entry.generators({"eps1": Fraction(1),
+                                            "eps2": Fraction(1)})[0])
     assert classify(rotation_form).label == "6"
     verdict = colinearity(boost, rotation)
     assert verdict.kind == "complex"

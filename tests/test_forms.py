@@ -625,3 +625,53 @@ def test_mat3_inverse_and_det():
         assert T.inverse() @ T == Mat3.identity()
     with pytest.raises(SingularTransformError):
         Mat3.zero().inverse()
+
+
+def _rational_matrix(rng):
+    """Entries p/q with |p| <= 9 and q up to 7."""
+    return Mat3([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+                 for _ in range(3)])
+
+
+def _leibniz_det(T):
+    """The six-term sum over permutations, independent of the cross product."""
+    total = 0
+    for p in permutations(range(3)):
+        inversions = sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+        total += (-1) ** inversions * T[0, p[0]] * T[1, p[1]] * T[2, p[2]]
+    return total
+
+
+def test_mat3_det_matches_leibniz():
+    rng = random.Random(41)
+    mats = [random_invertible(rng) for _ in range(100)]
+    mats += [_rational_matrix(rng) for _ in range(300)]
+    for T in mats:
+        assert T.det() == _leibniz_det(T), T
+
+
+def test_mat3_inverse_of_rational_matrices():
+    rng = random.Random(43)
+    checked = 0
+    while checked < 300:
+        T = _rational_matrix(rng)
+        if T.det() == 0:
+            continue
+        assert T @ T.inverse() == Mat3.identity(), T
+        assert T.inverse() @ T == Mat3.identity(), T
+        checked += 1
+
+
+def test_mat3_inverse_refuses_singular_rational_matrices():
+    rng = random.Random(47)
+    for _ in range(50):
+        T = _rational_matrix(rng)
+        a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2))
+        # the third row a combination of the first two, in each row position
+        rows = list(T.rows)
+        rows[2] = tuple(a * x + b * y for x, y in zip(rows[0], rows[1]))
+        for k in range(3):
+            S = Mat3(rows[k:] + rows[:k])
+            assert S.det() == 0
+            with pytest.raises(SingularTransformError):
+                S.inverse()

@@ -265,6 +265,12 @@ def test_pickle_and_copy():
 
 
 def test_catalog_entry_defaults_the_invariant_matrix():
+    """A series entry with no recorded invariant matrix leaves inv_matrix
+    None, and the audit's invariant-matrix check of it is its field-0 check."""
     entry = next(e for e in catalog.ENTRIES if e.series is not None)
-    params = entry.defaults()
-    assert entry.inv_matrix(params) == entry.generators(params)[0]
+    assert entry.inv_matrix is None
+    for branch in entry.branches():
+        checks = catalog.verify_branch(entry, branch).generator_checks
+        field0 = next(c for c in checks if c.source == "field" and c.index == 0)
+        (inv,) = [c for c in checks if c.source == "invariant-matrix"]
+        assert (inv.passes, inv.in_kernel) == (field0.passes, field0.in_kernel)
