@@ -158,9 +158,7 @@ ENTRIES = []
 
 
 def _entry(**kw):
-    e = CatalogEntry(**kw)
-    ENTRIES.append(e)
-    return e
+    ENTRIES.append(CatalogEntry(**kw))
 
 
 # ---------------------------------------------------------------- tau = 1
@@ -1021,13 +1019,8 @@ class AuditReport:
 def verify_all():
     """Full audit: every affine entry (all branches) and every projective
     sample, recomputed from scratch."""
-    branch_reports = []
-    for entry in ENTRIES:
-        branch_reports.extend(verify_branch(entry, b) for b in entry.branches())
-    projective_reports = []
-    for entry in PROJECTIVE_ENTRIES:
-        projective_reports.extend(verify_projective(entry))
-    return AuditReport(tuple(branch_reports), tuple(projective_reports))
+    return AuditReport(tuple(r for entry in ENTRIES for r in verify_entry(entry.id)),
+                       tuple(r for entry in PROJECTIVE_ENTRIES for r in verify_projective(entry)))
 
 
 def projective_table():

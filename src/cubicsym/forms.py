@@ -25,26 +25,21 @@ from math import gcd
 from operator import attrgetter
 
 from ._record import record
-from .linalg import nullspace, scale_to_integers
+from .linalg import ZERO, nullspace, scale_to_integers
 
 
-COMPONENT_NAMES = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "F")
-_ZERO = Fraction(0)
-
-# bijection between sorted index triples and stored component names
+# bijection between sorted index triples and stored component names, A1..F
 TRIPLE_TO_NAME = {
     (1, 1, 1): "A1", (2, 2, 2): "A2", (3, 3, 3): "A3",
     (1, 2, 2): "B1", (1, 3, 3): "B2", (2, 3, 3): "B3",
     (1, 1, 2): "C1", (1, 1, 3): "C2", (2, 2, 3): "C3",
     (1, 2, 3): "F",
 }
+COMPONENT_NAMES = tuple(TRIPLE_TO_NAME.values())
 
 # sorted triples in lexicographic order; fixed once and used everywhere a
 # component vector is needed (rows of the Killing system in particular)
-SORTED_TRIPLES = (
-    (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
-    (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3),
-)
+SORTED_TRIPLES = tuple(sorted(TRIPLE_TO_NAME))
 
 # _FULL_INDEX[d][e][f] = position of the sorted (d+1, e+1, f+1) in SORTED_TRIPLES
 _FULL_INDEX = tuple(tuple(tuple(SORTED_TRIPLES.index(tuple(sorted((d, e, f))))
@@ -237,8 +232,8 @@ class CubicForm:
     F: Fraction
     __slots__ = ("_classification",)
 
-    def __init__(self, A1=_ZERO, A2=_ZERO, A3=_ZERO, B1=_ZERO, B2=_ZERO, B3=_ZERO,
-                 C1=_ZERO, C2=_ZERO, C3=_ZERO, F=_ZERO):
+    def __init__(self, A1=ZERO, A2=ZERO, A3=ZERO, B1=ZERO, B2=ZERO, B3=ZERO,
+                 C1=ZERO, C2=ZERO, C3=ZERO, F=ZERO):
         for name, value in zip(COMPONENT_NAMES, (A1, A2, A3, B1, B2, B3, C1, C2, C3, F)):
             object.__setattr__(self, name,
                                value if value.__class__ is Fraction else parse_scalar(value))
@@ -526,8 +521,7 @@ def tau0_upper_bound(form, radius):
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
         raise ValueError("radius must be an int >= 1")
     best = form.affine_type()
-    floor = 0 if best == 0 else 1
-    if best == floor:
+    if best <= 1:
         return best, _IDENTITY
     coeffs, _ = scale_to_integers(form.components())
     # a scalar factor changes no zero pattern, so every multiple of a form
@@ -588,7 +582,7 @@ def tau0_upper_bound(form, radius):
                     continue
                 best = count
                 witness = ca, cb, cc
-                if best == floor:
+                if best == 1:
                     return best, Mat3(tuple(zip(*witness)))
                 bmask &= _second_columns(reach_a, best - 4 - count_a)
                 if count_ab >= best:

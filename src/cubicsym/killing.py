@@ -41,12 +41,10 @@ from fractions import Fraction
 
 from ._record import record
 from .forms import SORTED_TRIPLES, CubicForm, Mat3, _FULL_INDEX, _SORTED_NAMES, format_scalar
-from .linalg import nullspace, scale_to_integers
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
+from .linalg import ONE, ZERO, nullspace, scale_to_integers
 
 # rows of the nine elementary matrices E_ij (A^i_j = 1), in row-major order of (i, j)
-_UNITS = tuple(tuple(tuple(_ONE if (r, c) == (i, j) else _ZERO for c in range(3))
+_UNITS = tuple(tuple(tuple(ONE if (r, c) == (i, j) else ZERO for c in range(3))
                      for r in range(3)) for i in range(3) for j in range(3))
 
 # _TERMS[r] lists the distinct terms of K(A) at the r-th sorted triple

@@ -7,12 +7,14 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import cubicsym
 from cubicsym import CubicForm, Mat3, catalog, cli, liealg, properties
 from cubicsym.cli import _emit, main
+from cubicsym.killing import build_system, killing_operator, solve
 
 
 @pytest.fixture
@@ -504,33 +506,132 @@ def test_selftest_rejects_fewer_than_one_trial(capsys, trials):
 def test_selftest_smoke(capsys):
     code, out, _ = run(capsys, "selftest", "--trials", "5")
     assert code == 0
-    assert "selftest: PASS" in out
-    assert "radical covariance: PASS [5 trials, seed 102]" in out
+    assert out == (
+        "evaluate/pullback compatibility: PASS [5 trials, seed 101]\n"
+        "radical covariance: PASS [5 trials, seed 102]\n"
+        "kernel and class covariance: PASS [5 trials, seed 103]\n"
+        "Lie closure of kernels: PASS [5 trials, seed 104]\n"
+        "Cayley-Hamilton and trace recursion: PASS [5 trials, seed 105]\n"
+        "conjugation invariance of invariants: PASS [5 trials, seed 106]\n"
+        "bracket identities: PASS [5 trials, seed 107]\n"
+        "Killing operator linearity and radical fields: PASS [5 trials, seed 108]\n"
+        "catalog audit: 77 branches, 14 known discrepancies, 0 unknown, generators 69/74\n"
+        "selftest: PASS\n")
+
+
+# the suites as selftest prints them, with their seeds
+SUITE_SEEDS = {
+    "evaluate/pullback compatibility": 101, "radical covariance": 102,
+    "kernel and class covariance": 103, "Lie closure of kernels": 104,
+    "Cayley-Hamilton and trace recursion": 105, "conjugation invariance of invariants": 106,
+    "bracket identities": 107, "Killing operator linearity and radical fields": 108,
+}
+_draw_form, _draw_matrix = properties.random_form, properties.random_matrix
+
+
+class _Shifted(CubicForm):
+    """A form whose evaluate is off by one, so that pullback is not covariant."""
+    __slots__ = ()
+
+    def evaluate(self, v):
+        return CubicForm.evaluate(self, v) + 1
+
+
+class _ShiftedInEveryFrame(_Shifted):
+    """Off by one in every frame: covariant under pullback, but not cubic."""
+    __slots__ = ()
+
+    def pullback(self, T):
+        return _ShiftedInEveryFrame.from_json(CubicForm.pullback(self, T).to_json())
+
+
+class _OffScale(Mat3):
+    """A matrix that scales by c + 1 when asked to scale by c."""
+    __slots__ = ()
+
+    def scale(self, c):
+        return Mat3.scale(self, c + 1)
+
+
+def _selftest_failures(out, expected):
+    """Check a failing selftest --trials 7 against expected, which maps each
+    failing suite to (a regex its failures match after "trial i: ", the
+    number of drawn forms in each failure, whether every trial fails).
+    Returns {suite: [(failure, [command, ...]), ...]}."""
+    summaries, suites = {}, {}
+    for line in out.splitlines():
+        if not line.startswith(" "):
+            name, _, summaries[name] = line.partition(": ")
+            failures = suites.setdefault(name, [])
+        elif line.startswith("      $ "):
+            failures[-1][1].append(line[6:])
+        else:
+            failures.append((line[4:], []))
+    for name, seed in SUITE_SEEDS.items():
+        failures = suites[name]
+        if name not in expected:
+            assert summaries[name] == f"PASS [7 trials, seed {seed}]"
+            continue
+        message, n_forms, every_trial = expected[name]
+        # a suite stops at its fifth failure
+        assert summaries[name] == f"FAIL ({len(failures)}) [7 trials, seed {seed}]"
+        trials = [int(re.match(r"trial (\d+): ", f).group(1)) for f, _ in failures]
+        assert trials == (list(range(5)) if every_trial else sorted(set(trials)))
+        for failure, commands in failures:
+            assert re.match(rf"trial \d+: {message}", failure), failure
+            # each drawn form as describe() text with its JSON, then one
+            # command per form that classifies it
+            texts = re.findall(r"form JSON (\{[^}]*\})", failure)
+            assert len(texts) == n_forms, failure
+            for text in texts:
+                form = CubicForm.from_json(json.loads(text))
+                assert f"{form.describe()} (form JSON {text})" in failure
+            assert commands == [f"$ echo {shlex.quote(text)} | cubicsym classify --form /dev/stdin"
+                                for text in texts]
+            # each matrix as JSON that transform --matrix reads
+            matrices = re.findall(r"\b[ABCT] = (\[\[.*?\]\])", failure)
+            assert matrices or texts, failure
+            for text in matrices:
+                assert isinstance(Mat3.from_json(json.loads(text)), Mat3)
+    return {name: suites[name] for name in expected}
+
+
+# (patches to names in cubicsym.properties, expected failures), each failing
+# one or two suites' form checks
+FORM_FAILURES = [
+    # same_span also calls span_equal, so the kernel check is kept passing
+    ({"span_equal": lambda a, b: False, "same_span": lambda a, b: True},
+     {"radical covariance": ("radical covariance failure for ", 1, True)}),
+    ({"random_form": lambda rng: _Shifted.from_json(_draw_form(rng).to_json())},
+     {"evaluate/pullback compatibility": ("pullback/evaluate mismatch for ", 1, True)}),
+    ({"random_form": lambda rng: _ShiftedInEveryFrame.from_json(_draw_form(rng).to_json())},
+     {"evaluate/pullback compatibility": ("homogeneity failure for ", 1, True)}),
+    ({"classify": lambda g: SimpleNamespace(label=g.describe(), algebra=solve(g))},
+     {"kernel and class covariance": ("class label changed under pullback: ", 1, True)}),
+    ({"same_span": lambda a, b: False},
+     {"kernel and class covariance": ("kernel span not covariant for ", 1, True)}),
+    ({"verify_killing": lambda g, A: False},
+     {"Lie closure of kernels": ("kernel element fails the Killing check for ", 1, False),
+      "Killing operator linearity and radical fields": ("radical rank-one field fails for ",
+                                                        1, False)}),
+    ({"in_span": lambda v, t: False},
+     {"Lie closure of kernels": ("bracket escapes the kernel for ", 1, False)}),
+    ({"killing_operator": lambda g, A: killing_operator(g, A) + CubicForm(F=1)},
+     {"Killing operator linearity and radical fields": (
+         "K not linear in the form for .* and ", 2, True)}),
+    ({"build_system": lambda g: SimpleNamespace(
+        matrix=[[2 * x for x in row] for row in build_system(g).matrix])},
+     {"Killing operator linearity and radical fields": (
+         r"assembled system disagrees with d/dt G\(x \+ tAx\) at t = 0 for .*, "
+         r"A = \[\[.*\]\], x = \[", 1, True)}),
+]
 
 
 def test_selftest_failure_prints_seed_and_form_json(capsys, monkeypatch, tmp_path):
-    # a radical check that always fails: the summary names the suite's seed,
-    # and each failure gives its form as JSON that classify --form reads back;
-    # same_span also calls span_equal, so the kernel check is kept passing
-    monkeypatch.setattr(properties, "span_equal", lambda a, b: False)
-    monkeypatch.setattr(properties, "same_span", lambda a, b: True)
-    code, out, _ = run(capsys, "selftest", "--trials", "3")
-    assert code == 1
-    assert "radical covariance: FAIL (3) [3 trials, seed 102]" in out
-    lines = [line for line in out.splitlines() if "radical covariance failure" in line]
-    assert len(lines) == 3
-    for line in lines:
-        text = re.search(r"form JSON (\{[^}]*\})", line).group(1)
-        form = CubicForm.from_json(json.loads(text))
-        assert f"failure for {form.describe()} (form JSON {text})" in line
-        path = tmp_path / "form.json"
-        path.write_text(text)
-        code, classified, _ = run(capsys, "classify", "--form", str(path))
-        assert code == 0 and "symmetry class:" in classified
-    # each failure is followed by a shell command that classifies its form;
-    # run it as printed, with a cubicsym on PATH that runs this checkout
-    commands = [line.strip()[2:] for line in out.splitlines() if line.strip().startswith("$ ")]
-    assert len(commands) == 3
+    # a property that fails for the drawn forms: the summary names the
+    # suite's seed, and each failure gives its forms as JSON that classify
+    # --form reads back, followed by the commands that classify them, which
+    # are run as printed with a cubicsym on PATH that runs this checkout
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     script = bin_dir / "cubicsym"
@@ -539,12 +640,25 @@ def test_selftest_failure_prints_seed_and_form_json(capsys, monkeypatch, tmp_pat
                       "from cubicsym.cli import main\nsys.exit(main())\n")
     script.chmod(0o755)
     env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
-    for command, line in zip(commands, lines):
-        text = re.search(r"form JSON (\{[^}]*\})", line).group(1)
-        assert command == f"echo {shlex.quote(text)} | cubicsym classify --form /dev/stdin"
-        proc = subprocess.run(command, shell=True, env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert "symmetry class:" in proc.stdout
+    path = tmp_path / "form.json"
+    for patches, expected in FORM_FAILURES:
+        with monkeypatch.context() as patch:
+            for name, value in patches.items():
+                patch.setattr(properties, name, value)
+            code, out, _ = run(capsys, "selftest", "--trials", "7")
+        assert code == 1
+        for failures in _selftest_failures(out, expected).values():
+            for failure, _ in failures:
+                for text in re.findall(r"form JSON (\{[^}]*\})", failure):
+                    path.write_text(text)
+                    code, classified, _ = run(capsys, "classify", "--form", str(path))
+                    assert code == 0 and "symmetry class:" in classified
+            # the commands of the suite's first failure
+            for command in failures[0][1]:
+                proc = subprocess.run(command[2:], shell=True, env=env, capture_output=True,
+                                      text=True)
+                assert proc.returncode == 0, proc.stderr
+                assert "symmetry class:" in proc.stdout
 
 
 def test_selftest_names_unknown_audit_findings(capsys, monkeypatch):
@@ -568,32 +682,44 @@ def test_selftest_names_unknown_audit_findings(capsys, monkeypatch):
         assert lines[k - 1].split(": ", 1)[1] in verified
 
 
+# (patches to names in cubicsym.properties, expected failures), each failing
+# the matrix checks of one to three suites
+MATRIX_FAILURES = [
+    # invariants taken of A + E11 change under conjugation and give the
+    # wrong Delta, and a bracket A B is not zero on (A, A)
+    ({"invariants": lambda A: liealg.invariants(A + Mat3.diag(1, 0, 0)),
+      "bracket": lambda A, B: A @ B},
+     {"Cayley-Hamilton and trace recursion": (r"Delta != det\(A\) for A = ", 0, True),
+      "conjugation invariance of invariants": (
+          r"conjugation changed invariants of A = \[\[.*\]\], T = \[\[", 0, True),
+      "bracket identities": (r"bracket\(A,A\) != 0 for A = \[\[", 0, True),
+      "Lie closure of kernels": ("bracket escapes the kernel for ", 1, False)}),
+    # zero on (A, A), but not antisymmetric
+    ({"bracket": lambda A, B: liealg.bracket(A, B) + (A - B) @ (A - B)},
+     {"bracket identities": ("antisymmetry fails for A = .*, B = ", 0, True),
+      "Lie closure of kernels": ("bracket escapes the kernel for ", 1, False)}),
+    # antisymmetric, but cubic
+    ({"bracket": lambda A, B: A @ A @ B - B @ B @ A},
+     {"bracket identities": ("Jacobi identity fails for A = .*, B = .*, C = ", 0, True),
+      "Lie closure of kernels": ("bracket escapes the kernel for ", 1, False)}),
+    # drawn matrices that scale by lambda + 1
+    ({"random_matrix": lambda rng: _OffScale(_draw_matrix(rng).rows)},
+     {"Cayley-Hamilton and trace recursion": ("Cayley-Hamilton fails for A = ", 0, True),
+      "bracket identities": ("bilinearity fails for lambda = -?[0-9]+, A = .*, B = .*, C = ",
+                             0, True)}),
+]
+
+
 def test_selftest_failure_prints_matrices_as_json(capsys, monkeypatch):
-    # invariants taken of A + E11 change under conjugation and break
-    # Cayley-Hamilton, and a bracket A B is not antisymmetric: each failure
-    # prints its matrices as JSON that transform --matrix reads
-    e11 = Mat3.diag(1, 0, 0)
-    monkeypatch.setattr(properties, "invariants", lambda A: liealg.invariants(A + e11))
-    monkeypatch.setattr(properties, "bracket", lambda A, B: A @ B)
-    code, out, _ = run(capsys, "selftest", "--trials", "3")
-    assert code == 1
-    matrix_suites = ("Cayley-Hamilton and trace recursion",
-                     "conjugation invariance of invariants", "bracket identities")
-    failures, suite = [], None
-    for line in out.splitlines():
-        if not line.startswith(" "):
-            suite = line.split(":")[0]
-        elif suite in matrix_suites:
-            failures.append(line)
-    for name in matrix_suites:
-        assert f"{name}: FAIL" in out
-    assert any("T = [[" in line for line in failures)
-    assert any("bracket(A,A) != 0 for A = [[" in line for line in failures)
-    for line in failures:
-        matrices = re.findall(r"\b([ABCT]) = (\[\[.*?\]\])", line)
-        assert matrices, line
-        for _, text in matrices:
-            assert isinstance(Mat3.from_json(json.loads(text)), Mat3)
+    # each failure of a drawn matrix prints its matrices as JSON that
+    # transform --matrix reads
+    for patches, expected in MATRIX_FAILURES:
+        with monkeypatch.context() as patch:
+            for name, value in patches.items():
+                patch.setattr(properties, name, value)
+            code, out, _ = run(capsys, "selftest", "--trials", "7")
+        assert code == 1
+        _selftest_failures(out, expected)
 
 
 @pytest.mark.parametrize("wrong, identity", [
@@ -602,6 +728,8 @@ def test_selftest_failure_prints_matrices_as_json(capsys, monkeypatch):
      "I3 != Tr(A^3)"),
     (lambda s: liealg.InvariantSeries(I=s.I[:5] + (-s.I[5] - 1,), delta=s.delta),
      "I6 != Tr(A^6)"),
+    (lambda s: liealg.InvariantSeries(I=(s.I[0] + 1,) + s.I[1:], delta=s.delta),
+     "Cayley-Hamilton fails"),
 ])
 def test_cayley_hamilton_failures_name_the_broken_identity(monkeypatch, wrong, identity):
     # Delta is checked before Cayley-Hamilton, which reads only I1, I2 and

@@ -9,7 +9,7 @@ import pytest
 
 from cubicsym import CubicForm, Mat3, SingularTransformError, tau0_upper_bound
 from cubicsym.catalog import ENTRIES
-from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, \
+from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME, _SORTED_NAMES, \
     _frame_tables, _int_tensor, _pair_tables, _zero_pattern, parse_scalar
 from cubicsym.linalg import scale_to_integers
 from cubicsym.properties import random_form, random_invertible, random_vec
@@ -21,6 +21,17 @@ def evaluate_oracle(form, v):
     for a, b, c in product((1, 2, 3), repeat=3):
         total += form.component(a, b, c) * v[a - 1] * v[b - 1] * v[c - 1]
     return total
+
+
+def test_component_convention():
+    # the stored order A1..F, the lexicographic rows of the Killing system,
+    # and the names in row order; the kernel basis does not depend on the
+    # row order, so no digest would notice a reordered SORTED_TRIPLES
+    assert COMPONENT_NAMES == ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "F")
+    assert SORTED_TRIPLES == ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
+                              (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))
+    assert _SORTED_NAMES == ("A1", "C1", "C2", "B1", "F", "B2", "A2", "C3", "B3", "A3")
+    assert all(TRIPLE_TO_NAME[t] == name for t, name in zip(SORTED_TRIPLES, _SORTED_NAMES))
 
 
 def test_component_examples():
