@@ -35,7 +35,7 @@ from .forms import CubicForm, Mat3, parse_scalar, scalar_to_json
 # solve is not called here, but perfbench/run.py traces catalog.solve by name
 from .killing import solve, verify_killing  # noqa: F401
 from .liealg import invariants
-from .linalg import in_span
+from .linalg import ONE, ZERO, in_span
 
 
 class ParameterRangeError(ValueError):
@@ -123,7 +123,7 @@ class CatalogEntry:
 
 
 def sign(name):
-    return ParamSpec(name, "sign", Fraction(1))
+    return ParamSpec(name, "sign", ONE)
 
 
 def rational(name, default, allow_zero=False):
@@ -133,13 +133,13 @@ def rational(name, default, allow_zero=False):
 def _pow_series(base):
     """I_n = 1 + base^n for n = 1..6, determinant zero."""
     base = Fraction(base)
-    return [1 + base ** n for n in range(1, 7)], Fraction(0)
+    return [1 + base ** n for n in range(1, 7)], ZERO
 
 
 def _even_series(c):
     """I_n = 2 c^(n/2) for even n, 0 for odd n, determinant zero."""
     c = Fraction(c)
-    return [Fraction(0), 2 * c, Fraction(0), 2 * c ** 2, Fraction(0), 2 * c ** 3], Fraction(0)
+    return [ZERO, 2 * c, ZERO, 2 * c ** 2, ZERO, 2 * c ** 3], ZERO
 
 
 HALF = Fraction(1, 2)
@@ -671,10 +671,10 @@ GENERAL_SAMPLES = (
     _psample("F=-1 (between the lower threshold and -1/2)", {"F": Fraction(-1)}, "8"),
     _psample("F=-1/2 (degenerate: the form factors)", {"F": Fraction(-1, 2)}, "1"),
     _psample("F=-1/4 (between -1/2 and 0)", {"F": Fraction(-1, 4)}, "8"),
-    _psample("F=0", {"F": Fraction(0)}, "8"),
+    _psample("F=0", {"F": ZERO}, "8"),
     _psample("F=1/4 (between 0 and the upper irrational threshold)", {"F": Fraction(1, 4)}, "8"),
-    _psample("F=1/2 (between the upper threshold and 1)", {"F": Fraction(1, 2)}, "8"),
-    _psample("F=1", {"F": Fraction(1)}, "8"),
+    _psample("F=1/2 (between the upper threshold and 1)", {"F": HALF}, "8"),
+    _psample("F=1", {"F": ONE}, "8"),
     _psample("F=2 (F>1)", {"F": Fraction(2)}, "8"),
 )
 
@@ -845,9 +845,10 @@ def verify_branch(entry, branch):
     algebra = report.algebra
     findings = []
 
-    tau_ok = form.affine_type() == branch.tau
+    tau = form.affine_type()
+    tau_ok = tau == branch.tau
     if not tau_ok:
-        findings.append(("tau", f"affine type {form.affine_type()} != {branch.tau}"))
+        findings.append(("tau", f"affine type {tau} != {branch.tau}"))
 
     expected = branch.expected
     computed_shape = (algebra.finite_nontrivial_dim, algebra.has_infinite_family)
@@ -978,13 +979,11 @@ class AuditReport:
 
     @property
     def known_discrepancies(self):
-        return [r for r in self.branch_reports if r.known_issues] + \
-               [r for r in self.projective_reports if r.known_issues]
+        return [r for r in (*self.branch_reports, *self.projective_reports) if r.known_issues]
 
     @property
     def unknown_discrepancies(self):
-        return [r for r in self.branch_reports if r.unknown_issues] + \
-               [r for r in self.projective_reports if r.unknown_issues]
+        return [r for r in (*self.branch_reports, *self.projective_reports) if r.unknown_issues]
 
     def generator_tally(self):
         """(passed, total) over every transcribed generator and invariant

@@ -54,10 +54,12 @@ def _unique_keys(pairs):
     return obj
 
 
-def _load_json(path, what):
+def _load(path, what, parse):
+    """parse(data) of the JSON in the file at path; every failure is a
+    one-line InputError that names the file as a `what` file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
     except ValueError as exc:
@@ -68,22 +70,10 @@ def _load_json(path, what):
     except RecursionError as exc:
         # json's decoder recurses once per nested array or object
         raise InputError(f"{what} file {path!r} nests too deeply to parse: {exc}") from exc
-
-
-def load_form(path):
-    data = _load_json(path, "form")
     try:
-        return CubicForm.from_json(data)
+        return parse(data)
     except ValueError as exc:
-        raise InputError(f"form file {path!r}: {exc}") from exc
-
-
-def load_matrix(path):
-    data = _load_json(path, "matrix")
-    try:
-        return Mat3.from_json(data)
-    except ValueError as exc:
-        raise InputError(f"matrix file {path!r}: {exc}") from exc
+        raise InputError(f"{what} file {path!r}: {exc}") from exc
 
 
 def _emit(payload, as_json, plain=None):
@@ -122,7 +112,7 @@ def _algebra_lines(a):
 
 
 def cmd_solve(args):
-    algebra = solve(load_form(args.form))
+    algebra = solve(_load(args.form, "form", CubicForm.from_json))
 
     def plain(p):
         print(f"kernel dimension:        {p['kernel_dim']}")
@@ -138,7 +128,7 @@ def cmd_solve(args):
 
 
 def cmd_classify(args):
-    report = classify(load_form(args.form))
+    report = classify(_load(args.form, "form", CubicForm.from_json))
 
     def plain(p):
         print(f"symmetry class:          {p['class']}")
@@ -160,7 +150,7 @@ def cmd_classify(args):
 
 
 def cmd_invariants(args):
-    algebra = solve(load_form(args.form))
+    algebra = solve(_load(args.form, "form", CubicForm.from_json))
     if not algebra.generators:
         raise InputError("the form has no nontrivial linear symmetries")
     if not 0 <= args.generator < len(algebra.generators):
@@ -179,7 +169,7 @@ def cmd_invariants(args):
 
 
 def cmd_radical(args):
-    form = load_form(args.form)
+    form = _load(args.form, "form", CubicForm.from_json)
     basis = form.radical()
 
     def plain(p):
@@ -194,8 +184,8 @@ def cmd_radical(args):
 
 
 def cmd_transform(args):
-    form = load_form(args.form)
-    T = load_matrix(args.matrix)
+    form = _load(args.form, "form", CubicForm.from_json)
+    T = _load(args.matrix, "matrix", Mat3.from_json)
     try:
         out = form.pullback(T)
     except SingularTransformError as exc:
@@ -206,7 +196,8 @@ def cmd_transform(args):
 
 
 def cmd_compare(args):
-    verdict = compare(load_form(args.form), load_form(args.other))
+    verdict = compare(_load(args.form, "form", CubicForm.from_json),
+                      _load(args.other, "form", CubicForm.from_json))
 
     def plain(p):
         print(p["verdict"])

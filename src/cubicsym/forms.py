@@ -142,10 +142,14 @@ class Mat3:
         return self.rows[i][j]
 
     def __add__(self, other):
+        if not isinstance(other, Mat3):
+            return NotImplemented
         return Mat3(tuple(tuple(a + b for a, b in zip(ra, rb))
                           for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
+        if not isinstance(other, Mat3):
+            return NotImplemented
         return Mat3(tuple(tuple(a - b for a, b in zip(ra, rb))
                           for ra, rb in zip(self.rows, other.rows)))
 
@@ -154,6 +158,8 @@ class Mat3:
         return Mat3(tuple(tuple(c * v for v in row) for row in self.rows))
 
     def __matmul__(self, other):
+        if not isinstance(other, Mat3):
+            return NotImplemented
         return Mat3(tuple(
             tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(3))
                   for j in range(3))
@@ -252,7 +258,7 @@ class CubicForm:
 
     def evaluate(self, v):
         """G(v, v, v) as the full 27-term contraction (orbit-weighted sum)."""
-        total = Fraction(0)
+        total = ZERO
         for t in SORTED_TRIPLES:
             c = getattr(self, TRIPLE_TO_NAME[t])
             if c != 0:
@@ -294,10 +300,9 @@ class CubicForm:
         """Number of nonzero stored components (frame dependent)."""
         return sum(1 for name in COMPONENT_NAMES if getattr(self, name) != 0)
 
-    def is_zero(self):
-        return self.affine_type() == 0
-
     def __add__(self, other):
+        if not isinstance(other, CubicForm):
+            return NotImplemented
         return CubicForm(**{n: getattr(self, n) + getattr(other, n) for n in COMPONENT_NAMES})
 
     def scale(self, c):

@@ -11,7 +11,7 @@ from math import isqrt
 
 from ._record import record
 from .forms import Mat3, _det, format_scalar
-from .linalg import rref, scale_to_integers
+from .linalg import ONE, ZERO, rref, scale_to_integers
 
 
 class DependentBasisError(ValueError):
@@ -82,7 +82,7 @@ def structure_constants(basis):
     """Exact structure constants over the given, necessarily closed, basis."""
     n = len(basis)
     pairs, brackets, red = _reduced_brackets(basis)
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for col, ((i, j), (_, de)) in enumerate(zip(pairs, brackets), start=n):
         for k in range(n):
             c[k][i][j] = red[k][col] / de
@@ -105,7 +105,7 @@ class InvariantSeries:
     @property
     def charpoly(self):
         i1, i2 = self.I[0], self.I[1]
-        return (Fraction(1), -i1, (i1 * i1 - i2) / 2, -self.delta)
+        return (ONE, -i1, (i1 * i1 - i2) / 2, -self.delta)
 
     def to_json(self):
         return {
@@ -193,7 +193,7 @@ def colinearity(s1, s2):
         return ColinearityVerdict(kind="none", reason="zero patterns differ")
     active = [(a / b, k) for k, (a, b) in enumerate(pairs, start=1) if a != 0]
     if not active:
-        return ColinearityVerdict(kind="real", C=Fraction(1),
+        return ColinearityVerdict(kind="real", C=ONE,
                                   reason="all invariants vanish")
     # each ratio is C^k, so r = C^k and q = C^m need r^m = q^k
     if any(r ** m != q ** k for i, (r, k) in enumerate(active) for q, m in active[i + 1:]):

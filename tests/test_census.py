@@ -6,9 +6,14 @@ coordinate permutation x_a -> s_a x_p(a) maps the box to itself and keeps
 the symmetry class: it pulls G back to G'_abc = s_a s_b s_c G_p(a)p(b)p(c).
 The 48 of them split the box into 1,398 orbits.  The test checks without
 solving that the pinned labels are constant on every orbit, then classifies
-one representative per orbit and compares it with its pinned label.
+one representative per orbit and compares it with its pinned label, and
+pins the SHA-256 of the representatives' full reports, which a changed
+kernel basis, radical, series or structure constant moves even where the
+label stays.
 """
 
+import hashlib
+import json
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -22,6 +27,9 @@ CODES = {"1": "1", "2": "2", "a": "3(1)", "b": "3(2)", "c": "3(3)",
 HISTOGRAM = {"8": 53624, "4": 2304, "5": 1476, "3(2)": 588, "2": 504, "6": 312,
              "3(3)": 108, "1": 106, "3(1)": 27}
 N = 3 ** 10
+# SHA-256 of the sorted-key JSON reports of the 1,398 representatives, one
+# line each, in orbit order
+REPORTS_SHA256 = "a102acd1c1a02264a628868df63ddc98284e948bc5c6a4bca4b259d3c1c717b2"
 
 
 def box_digits():
@@ -83,7 +91,11 @@ def test_census_by_orbit():
     assert len(classes) == 1398
     assert sum(len(orbit) for orbit in classes) == N
 
+    digest = hashlib.sha256()
     for orbit in classes:
         i = min(orbit)
         form = CubicForm(*(d - 1 for d in digits[i]))
-        assert classify(form).label == labels[i], form
+        report = classify(form)
+        assert report.label == labels[i], form
+        digest.update((json.dumps(report.to_json(), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == REPORTS_SHA256

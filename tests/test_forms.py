@@ -1,5 +1,6 @@
 """Tensor core: components, evaluation, pullback, radical, affine type."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -626,6 +627,17 @@ def test_scaling_and_addition_are_componentwise():
     d = g.scale(Fraction(-3, 2))
     for name in COMPONENT_NAMES:
         assert getattr(d, name) == Fraction(-3, 2) * getattr(g, name)
+
+
+def test_operators_refuse_a_foreign_operand():
+    A, g = Mat3.identity(), CubicForm(F=1)
+    for op, value, other in ((operator.add, A, g), (operator.sub, A, g),
+                             (operator.matmul, A, g), (operator.add, g, A)):
+        for foreign in (1, other):
+            with pytest.raises(TypeError):
+                op(value, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, value)
 
 
 def test_mat3_inverse_and_det():

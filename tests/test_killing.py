@@ -1,13 +1,14 @@
 """Killing operator, assembled linear system, and the exact kernel solver."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, permutations, product
 
 from cubicsym import CubicForm, Mat3, build_system, classify, killing_operator, solve, \
     verify_killing
 from cubicsym.catalog import ENTRIES, PROJECTIVE_ENTRIES
-from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES
+from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME
 from cubicsym.linalg import in_span, rref, span_equal
 from cubicsym.properties import conjugated_generators, random_form, \
     random_invertible, random_matrix, same_span
@@ -66,7 +67,7 @@ def test_killing_operator_matches_oracle_and_is_symmetric():
 
 def test_killing_operator_examples():
     bm = CubicForm(F=1)
-    assert killing_operator(bm, Mat3.diag(1, -1, 0)).is_zero()
+    assert killing_operator(bm, Mat3.diag(1, -1, 0)) == CubicForm()
     rng = random.Random(43)
     for _ in range(20):
         g = random_form(rng)
@@ -77,7 +78,7 @@ def test_killing_operator_examples():
     unit = Mat3([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     out = killing_operator(cubes, unit)
     assert out == CubicForm(C1=1)
-    assert not out.is_zero()
+    assert out != CubicForm()
 
 
 def test_killing_operator_bilinear():
@@ -257,6 +258,44 @@ def test_kernel_covariance():
         a2 = solve(g.pullback(T))
         moved = conjugated_generators(a1, T)
         assert same_span(moved, list(a2.generators))
+
+
+def hessian(form):
+    """H = det of the Hessian of G(x) = G_abc x^a x^b x^c as a form.  Entry
+    (i, j) of the Hessian is the linear form 6 G_ijc x^c; the determinant is
+    expanded over the six permutations and the 27 index triples, and each
+    monomial's coefficient is divided by its orbit size (1, 3 or 6)."""
+    L = [[[6 * form.component(i, j, c) for c in (1, 2, 3)] for j in (1, 2, 3)]
+         for i in (1, 2, 3)]
+    coeff = Counter()
+    for p in permutations(range(3)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+        for c in product(range(3), repeat=3):
+            coeff[tuple(sorted(c))] += sign * L[0][p[0]][c[0]] * L[1][p[1]][c[1]] \
+                * L[2][p[2]][c[2]]
+    return CubicForm(**{TRIPLE_TO_NAME[tuple(k + 1 for k in t)]: v / len(set(permutations(t)))
+                        for t, v in coeff.items()})
+
+
+def test_hessian_is_covariant_under_the_computed_algebras():
+    """A Killing field A of G scales its Hessian determinant H by the square
+    of the Jacobian: K(H, A) = -2 tr(A) H, on every generator the solver
+    finds for the 77 branches."""
+    # x^3 + y^3 + z^3 has Hessian diag(6x, 6y, 6z), so H = 216 xyz
+    assert hessian(CubicForm(A1=1, A2=1, A3=1)) == CubicForm(F=36)
+    assert hessian(CubicForm(A1=1, B1=1)) == CubicForm()
+    branches = [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()]
+    nonzero = generators = broken = 0
+    for g in branches:
+        H = hessian(g)
+        nonzero += H != CubicForm()
+        for A in solve(g).generators:
+            generators += 1
+            assert killing_operator(H, A) == H.scale(-2 * (A[0, 0] + A[1, 1] + A[2, 2])), g
+        # K(H, I) = 3H, not -6H, for every nonzero H: I is no Killing field
+        broken += killing_operator(H, Mat3.identity()) != H.scale(-6)
+    assert len(branches) == 77 and generators == 123
+    assert nonzero >= 66 and broken >= 1
 
 
 def test_radical_rank_one_fields_are_symmetries():
