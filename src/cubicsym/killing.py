@@ -30,10 +30,12 @@ kernel basis plus the radical, with
     finite_nontrivial_dim = dim kernel - 3 * dim radical
 
 counting the generators that are not accounted for by radical families.
-Since those members v (w . x) are nonzero for v, w nonzero, a zero kernel
-forces a zero radical, and solve computes the radical only when the kernel
-is nonzero.  Most forms have a full-rank system, and for them elimination
-stops after its forward pass (linalg).
+The members v (w . x) of r independent radical vectors v span 3r dimensions
+of the kernel, so a kernel of fewer than 3 dimensions has no radical, and
+solve computes the radical only for a kernel of at least 3.  Class 7 being
+empty (tests/test_class7.py), every such kernel has a nonzero radical, so
+the radical is never computed in vain.  Most forms have a full-rank system, and for them
+elimination stops after its forward pass (linalg).
 """
 
 from collections import Counter
@@ -149,6 +151,7 @@ def solve(form):
     """
     kernel = build_system(form).kernel()
     generators = tuple(Mat3.from_flat(vec) for vec in kernel)
-    # a radical vector v makes every v w^T Killing, so a zero kernel has no radical
-    radical = tuple(form.radical()) if kernel else ()
+    # r radical vectors v make the 3r independent fields v w^T Killing, so a
+    # kernel of fewer than 3 dimensions has no radical
+    radical = tuple(form.radical()) if len(kernel) >= 3 else ()
     return SymmetryAlgebra(generators=generators, radical_basis=radical)

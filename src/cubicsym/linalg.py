@@ -11,9 +11,11 @@ caller (liealg.structure_constants).
 
 Elimination is two steps.  The forward pass clears below each pivot and so
 fixes the pivot columns, hence the rank; back-substitution then clears above
-each pivot.  Where the rank is the answer the forward pass is all that runs:
-nullspace returns [] once every column has a pivot, and in_span and
-span_equal compare ranks.
+each pivot, still in integers.  Where the rank is the answer the forward pass
+is all that runs: nullspace returns [] once every column has a pivot, and
+in_span and span_equal compare ranks.  Fractions are made only from the
+integer reduced rows: rref divides every entry by its row's pivot, and
+nullspace makes one Fraction per nonzero entry of the basis it returns.
 """
 
 from fractions import Fraction
@@ -76,19 +78,19 @@ def _forward(matrix):
 
 
 def _back_substitute(rows, pivots):
-    """The reduced rows, one per pivot, from the forward pass's rows.
+    """The integer reduced rows, one per pivot, from the forward pass's rows:
+    each is its reduced row times its pivot entry.
 
     Clears above each pivot in turn, first pivot first: the row operations
     Gauss-Jordan elimination makes above its pivots, in the same order.
-    Only the final division by the pivot makes a Fraction.
+    No Fraction is made; the caller divides by the pivots.
     """
     for k, c in enumerate(pivots):
         prow = rows[k]
         for i in range(k):
             if rows[i][c]:
                 rows[i] = _cleared(rows[i], prow, c)
-    return [[Fraction(x, row[p]) if x else ZERO for x in row]
-            for row, p in zip(rows, pivots)]
+    return rows[:len(pivots)]
 
 
 def rref(matrix):
@@ -96,10 +98,12 @@ def rref(matrix):
 
     Returns (rows, pivot_columns), one reduced row per pivot.  The input is
     not modified.  Scaling a row does not change the reduced form, so rows
-    are eliminated as integer multiples of themselves.
+    are eliminated as integer multiples of themselves and each is divided
+    by its pivot only at the end.
     """
     rows, pivots = _forward(matrix)
-    return _back_substitute(rows, pivots), pivots
+    return [[Fraction(x, row[p]) if x else ZERO for x in row]
+            for row, p in zip(_back_substitute(rows, pivots), pivots)], pivots
 
 
 def nullspace(matrix):
@@ -107,9 +111,10 @@ def nullspace(matrix):
 
     For each free column f the basis vector has a 1 in position f and the
     negated reduced-echelon entries in the pivot positions.  Basis vectors
-    are ordered by increasing free column.  When the forward pass puts a
-    pivot in every column the kernel is zero, and the basis is [] with no
-    back-substitution and no Fraction made.
+    are ordered by increasing free column.  Each entry is read off the
+    integer reduced rows, a Fraction made only where it is nonzero.  When
+    the forward pass puts a pivot in every column the kernel is zero, and
+    the basis is [] with no back-substitution and no Fraction made.
     """
     rows, pivots = _forward(matrix)
     ncols = len(rows[0])
@@ -123,8 +128,9 @@ def nullspace(matrix):
             continue
         vec = [ZERO] * ncols
         vec[free] = ONE
-        for i, p in enumerate(pivots):
-            vec[p] = -red[i][free]
+        for row, p in zip(red, pivots):
+            if row[free]:
+                vec[p] = Fraction(-row[free], row[p])
         basis.append(vec)
     return basis
 

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, permutations, product
 
-from cubicsym import CubicForm, Mat3, build_system, classify, killing_operator, solve, \
+from cubicsym import CubicForm, Mat3, build_system, killing_operator, solve, \
     verify_killing
 from cubicsym.catalog import ENTRIES, PROJECTIVE_ENTRIES
 from cubicsym.forms import COMPONENT_NAMES, SORTED_TRIPLES, TRIPLE_TO_NAME
@@ -311,10 +311,13 @@ def test_radical_rank_one_fields_are_symmetries():
 
 
 def test_radical_is_skipped_only_when_it_is_empty():
-    """solve computes the radical only for a nonzero kernel: a radical vector
-    v makes every v w^T Killing.  Its radical must be the form's own on box
-    forms, catalog branches, their rational pullbacks and the projective
-    samples, and every class-8 form among them has no radical."""
+    """solve computes the radical only for a kernel of at least 3
+    dimensions: r radical vectors v make the 3r independent fields v w^T
+    Killing, so a kernel of dimension 1 or 2 has no radical, and with class 7
+    empty every larger kernel has one.  On box forms, catalog branches, their
+    rational pullbacks and the projective samples, solve's radical must be
+    the form's own, and kernels of dimension 0, 1-2 and at least 3 all
+    occur."""
     rng = random.Random(79)
     branches = [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()]
     forms = [CubicForm(**{name: rng.choice((-1, 0, 1)) for name in COMPONENT_NAMES})
@@ -326,9 +329,9 @@ def test_radical_is_skipped_only_when_it_is_empty():
     assert len(branches) == 77 and len(forms) == 150 + 2 * 77 + 22
     seen = set()
     for g in forms:
-        assert solve(g).radical_basis == tuple(g.radical()), g
-        eight = classify(g).label == "8"
-        if eight:
-            assert g.radical() == [], g
-        seen.add((eight, bool(g.radical())))
-    assert seen == {(True, False), (False, False), (False, True)}
+        algebra, radical = solve(g), tuple(g.radical())
+        assert algebra.radical_basis == radical, g
+        dim = algebra.kernel_dim
+        assert bool(radical) == (dim >= 3), g
+        seen.add("0" if dim == 0 else "1-2" if dim < 3 else ">=3")
+    assert seen == {"0", "1-2", ">=3"}

@@ -145,7 +145,7 @@ def oracle_span(vectors, target):
 
 
 def test_derived_calls_match_the_oracle():
-    full_rank = 0
+    full_rank = sparse = 0
     for matrix in CASES:
         if not matrix or not matrix[0]:
             continue
@@ -156,6 +156,10 @@ def test_derived_calls_match_the_oracle():
         kernel = nullspace(matrix)
         assert kernel == oracle_nullspace(matrix, ncols), matrix
         assert len(kernel) == ncols - len(pivots)
+        # nullspace makes a Fraction only for a nonzero entry; every other
+        # entry must be one too, not an int equal to it
+        assert all(type(v) is Fraction for vec in kernel for v in vec)
+        sparse += any(vec[p] == 0 for vec in kernel for p in pivots)
         for vec in kernel:
             assert not any(_mat_vec(matrix, vec))
         vectors, target = matrix[:-1], matrix[-1]
@@ -169,7 +173,7 @@ def test_derived_calls_match_the_oracle():
         columns = [list(col) for col in zip(*matrix)]
         assert in_span(columns, [sum(row) for row in matrix]) is True
         assert matrix == before
-    assert full_rank >= 30
+    assert full_rank >= 30 and sparse >= 100
 
 
 def oracle_span_equal(vectors_a, vectors_b):
