@@ -328,9 +328,7 @@ class CubicForm:
         return cls(**comps)
 
     def describe(self):
-        parts = [f"{name}={format_scalar(getattr(self, name))}"
-                 for name in COMPONENT_NAMES if getattr(self, name) != 0]
-        return ", ".join(parts) if parts else "0"
+        return ", ".join(f"{k}={v}" for k, v in self.to_json().items()) or "0"
 
     def __repr__(self):
         return f"CubicForm({self.describe()})"

@@ -51,41 +51,32 @@ class StructureConstants:
         return [[[format_scalar(v) for v in row] for row in layer] for layer in self.c]
 
 
-def _reduced_brackets(basis):
-    """(pairs, brackets, red): the index pairs i < j, the brackets of those
-    pairs as (integer row, denominator) pairs from _int_bracket, and the
-    reduced echelon form of [basis | integer rows].
+def structure_constants(basis):
+    """Exact structure constants over the given, necessarily closed, basis.
 
-    That one reduction of the 9 x (n + n(n-1)/2) matrix decides everything:
-    the basis is independent iff each of its n columns gets a pivot, the
-    first bracket column that gets a pivot is the first bracket outside the
-    span, and otherwise each bracket column holds its integer row's
-    coordinates over the basis, which are the bracket's times its
-    denominator.  Scaling a column changes neither the pivots nor the other
-    columns of the reduced form.
+    One reduction of [basis | brackets], the 9 x (n + n(n-1)/2) integer
+    matrix whose bracket columns are _int_bracket's rows P N - N P, decides
+    everything: the basis is independent iff each of its n columns gets a
+    pivot, and the first bracket column that gets a pivot is the first
+    bracket outside the span.  Otherwise c[k][i][j] is the entry of reduced
+    row k in the column of [X_i, X_j] over the row's pivot times the
+    bracket's denominator d e: one Fraction per constant.  Scaling a column
+    changes neither the pivots nor the other columns of the reduced form.
     """
     n = len(basis)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     scaled = [scale_to_integers(m.flatten()) for m in basis]
     brackets = [_int_bracket(scaled[i], scaled[j]) for i, j in pairs]
-    rows = [row for row, _ in brackets]
-    red, pivots = rref(list(zip(*[m.flatten() for m in basis], *rows)))
+    red, pivots = rref(list(zip(*[m.flatten() for m in basis], *[row for row, _ in brackets])))
     if pivots[:n] != list(range(n)):
         raise DependentBasisError("generators are linearly dependent")
     if len(pivots) > n:
         i, j = pairs[pivots[n] - n]
         raise NotClosedError(f"bracket of generators {i} and {j} is outside the span")
-    return pairs, brackets, red
-
-
-def structure_constants(basis):
-    """Exact structure constants over the given, necessarily closed, basis."""
-    n = len(basis)
-    pairs, brackets, red = _reduced_brackets(basis)
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for col, ((i, j), (_, de)) in enumerate(zip(pairs, brackets), start=n):
-        for k in range(n):
-            c[k][i][j] = red[k][col] / de
+        for k, row in enumerate(red):
+            c[k][i][j] = Fraction(row[col], row[k] * de)
             c[k][j][i] = -c[k][i][j]
     return StructureConstants(c=tuple(tuple(tuple(row) for row in layer) for layer in c))
 
@@ -216,17 +207,20 @@ def colinearity(s1, s2):
 
 def solvable_pair(basis):
     """Basis (X1, X2) of a 2-dimensional nonabelian algebra with
-    bracket(X1, X2) = (3/2) X2.  The reduction that checks the basis A, B gives
-    [A, B] = alpha A + beta B, and X2, spanning the derived algebra, is [A, B]
-    over its first nonzero entry.  [A, X2] = beta X2 and [B, X2] = -alpha X2,
-    so X1 is A (3/2)/beta if beta != 0, else B (3/2)/(-alpha): [g, g] is an
-    ideal, and a nonabelian algebra has (alpha, beta) != 0, so no case is left."""
+    bracket(X1, X2) = (3/2) X2.  The structure constants of the basis A, B
+    give [A, B] = alpha A + beta B, and X2, spanning the derived algebra, is
+    alpha A + beta B over its first nonzero entry.  [A, X2] = beta X2 and
+    [B, X2] = -alpha X2, so X1 is A (3/2)/beta if beta != 0, else
+    B (3/2)/(-alpha): [g, g] is an ideal, and a nonabelian algebra has
+    (alpha, beta) != 0, so no case is left."""
     if len(basis) != 2:
         raise ValueError("expected a 2-dimensional algebra")
-    _, ((ab, de),), red = _reduced_brackets(basis)
-    alpha, beta = red[0][2] / de, red[1][2] / de
+    A, B = basis
+    c = structure_constants(basis).c
+    alpha, beta = c[0][0][1], c[1][0][1]
     if alpha == beta == 0:
         raise ValueError("algebra is not 2-dimensional nonabelian")
-    X1, mu = (basis[0], beta) if beta else (basis[1], -alpha)
-    pivot = next(v for v in ab if v)
-    return X1.scale(Fraction(3, 2) / mu), Mat3.from_flat([Fraction(x, pivot) for x in ab])
+    X1, mu = (A, beta) if beta else (B, -alpha)
+    X2 = A.scale(alpha) + B.scale(beta)
+    pivot = next(v for v in X2.flatten() if v)
+    return X1.scale(Fraction(3, 2) / mu), X2.scale(1 / pivot)

@@ -1,21 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on small dense matrices represented as lists of rows,
-each row a list of rationals (int or Fraction); results are lists of
-Fraction, all exact.  Elimination runs on Python ints: each row is scaled by
-the lcm of its denominators, reduced fraction-free, and divided by its pivot
-only at the end.  Pivoting is deterministic (first nonzero entry in column
-order), so reduced echelon forms and nullspace bases are canonical for a
-given input; coordinates over a basis are read off one reduced form by the
-caller (liealg.structure_constants).
+each row a list of rationals (int or Fraction); all results are exact.
+Elimination runs on Python ints: each row is scaled by the lcm of its
+denominators and reduced fraction-free.  Pivoting is deterministic (first
+nonzero entry in column order), so reduced rows and nullspace bases are
+canonical for a given input.
 
 Elimination is two steps.  The forward pass clears below each pivot and so
 fixes the pivot columns, hence the rank; back-substitution then clears above
 each pivot, still in integers.  Where the rank is the answer the forward pass
 is all that runs: nullspace returns [] once every column has a pivot, and
-in_span and span_equal compare ranks.  Fractions are made only from the
-integer reduced rows: rref divides every entry by its row's pivot, and
-nullspace makes one Fraction per nonzero entry of the basis it returns.
+in_span and span_equal compare ranks.  rref returns the integer reduced
+rows, each a multiple of its reduced echelon row, and makes no Fraction: its
+caller divides an entry by its row's pivot where it reads one
+(liealg.structure_constants reads the coordinates of brackets over a basis
+this way), and nullspace makes one Fraction per nonzero entry of the basis
+it returns.
 """
 
 from fractions import Fraction
@@ -79,11 +80,11 @@ def _forward(matrix):
 
 def _back_substitute(rows, pivots):
     """The integer reduced rows, one per pivot, from the forward pass's rows:
-    each is its reduced row times its pivot entry.
+    each is its reduced echelon row times its pivot entry.
 
     Clears above each pivot in turn, first pivot first: the row operations
     Gauss-Jordan elimination makes above its pivots, in the same order.
-    No Fraction is made; the caller divides by the pivots.
+    The rows are modified in place and no Fraction is made.
     """
     for k, c in enumerate(pivots):
         prow = rows[k]
@@ -94,16 +95,16 @@ def _back_substitute(rows, pivots):
 
 
 def rref(matrix):
-    """Reduced row echelon form: the forward pass, then back-substitution.
+    """Integer reduced row echelon form: the forward pass, then
+    back-substitution.
 
-    Returns (rows, pivot_columns), one reduced row per pivot.  The input is
-    not modified.  Scaling a row does not change the reduced form, so rows
-    are eliminated as integer multiples of themselves and each is divided
-    by its pivot only at the end.
+    Returns (rows, pivot_columns) with one int row per pivot: row k over its
+    pivot entry rows[k][pivot_columns[k]] is row k of the reduced row
+    echelon form.  No Fraction is made, so a caller divides only the entries
+    it reads.  The input is not modified.
     """
     rows, pivots = _forward(matrix)
-    return [[Fraction(x, row[p]) if x else ZERO for x in row]
-            for row, p in zip(_back_substitute(rows, pivots), pivots)], pivots
+    return _back_substitute(rows, pivots), pivots
 
 
 def nullspace(matrix):

@@ -1,12 +1,16 @@
 """Symmetry classification tree and the necessary-condition comparison."""
 
 import copy
+import hashlib
 import importlib
+import json
 import pickle
 import random
 from fractions import Fraction
 
-from cubicsym import NOT_EQUIVALENT, POSSIBLY_EQUIVALENT, CubicForm, classify, compare
+from cubicsym import NOT_EQUIVALENT, POSSIBLY_EQUIVALENT, CubicForm, Mat3, classify, \
+    compare, solve
+from cubicsym.catalog import ENTRIES, PROJECTIVE_ENTRIES
 from cubicsym.classify import CLASS_SHAPES, COMPLEX_TWINS
 from cubicsym.forms import COMPONENT_NAMES
 from cubicsym.properties import random_form, random_invertible
@@ -192,3 +196,42 @@ def test_compare_zero_form_with_a_cube_differs_in_radical():
     verdict = compare(CubicForm(), CubicForm(A1=1))
     assert verdict.verdict == NOT_EQUIVALENT
     assert verdict.witness == "radical dimension 3 vs 2"
+
+
+def _rational_invertible(rng):
+    """Invertible matrix with entries p/q, |p| <= 2 and q in {2, 3}."""
+    while True:
+        T = Mat3([[Fraction(rng.randint(-2, 2), rng.choice((2, 3))) for _ in range(3)]
+                  for _ in range(3)])
+        if T.det() != 0:
+            return T
+
+
+def rational_report_forms():
+    """The 77 catalog branches and the 22 projective samples, then one
+    seeded rational pullback of each: 198 forms, many of them with
+    denominators in their kernels, radicals and structure constants."""
+    forms = [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()]
+    forms += [entry.build(sample.params)
+              for entry in PROJECTIVE_ENTRIES for sample in entry.samples]
+    rng = random.Random(34)
+    return forms + [g.pullback(_rational_invertible(rng)) for g in forms]
+
+
+# SHA-256 of the sorted-key JSON of classify(g) and solve(g), one line each,
+# over rational_report_forms()
+RATIONAL_REPORTS_SHA256 = "c6f3e66f6622bb30469742941d3f477c22792e6b5eadb36b8a6b1df57f27d10d"
+
+
+def test_rational_reports_are_pinned():
+    forms = rational_report_forms()
+    assert len(forms) == 198
+    digest = hashlib.sha256()
+    structured = 0
+    for g in forms:
+        report = classify(g)
+        structured += report.structure is not None
+        for data in (report.to_json(), solve(g).to_json()):
+            digest.update((json.dumps(data, sort_keys=True) + "\n").encode())
+    assert structured == 42, structured
+    assert digest.hexdigest() == RATIONAL_REPORTS_SHA256

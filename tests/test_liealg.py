@@ -11,12 +11,16 @@ from cubicsym import CubicForm, Mat3, bracket, colinearity, invariants, \
 from cubicsym.liealg import ColinearityVerdict, DependentBasisError, NotClosedError, \
     StructureConstants, _nth_root
 from cubicsym.catalog import ENTRIES
-from cubicsym.linalg import rref
 from cubicsym.properties import random_form, random_invertible, random_matrix
+
+from test_linalg import rref_fraction_oracle
+
+# rank and coordinates reduce with test_linalg's Fraction Gauss-Jordan
+# oracle, which shares no code with the integer rref structure_constants reads
 
 
 def rank(vectors):
-    return len(rref(vectors)[1])
+    return len(rref_fraction_oracle(vectors)[1])
 
 
 def is_abelian(basis):
@@ -55,8 +59,8 @@ def test_bracket_and_delta_match_fraction_products():
         assert invariants(A).delta == A.det()
 
 
-def test_derived_algebra_and_solvable_pair_on_catalog_algebras():
-    # solvable_pair reads X2 off the reduction of its closure check; the
+def test_solvable_pair_on_catalog_algebras():
+    # solvable_pair builds X2 from the structure constants of its basis; the
     # reference normalizes a freshly computed bracket
     kinds = {"1": 0, "2": 0}
     for entry in ENTRIES:
@@ -170,7 +174,8 @@ def coordinates(vectors, target):
     """Coordinates of target over independent vectors, or None outside their
     span: the last column of the reduced [vectors | target]."""
     n = len(vectors)
-    red, pivots = rref([[v[i] for v in vectors] + [t] for i, t in enumerate(target)])
+    red, pivots = rref_fraction_oracle(
+        [[v[i] for v in vectors] + [t] for i, t in enumerate(target)])
     return None if n in pivots else [red[i][n] for i in range(n)]
 
 

@@ -1,10 +1,11 @@
 """Integer elimination and integer trace powers against Fraction oracles.
 
-`rref` eliminates over ints and divides by the pivot only at the end; the
-reduced row echelon form is unique, so it must agree exactly with the plain
-Fraction Gauss-Jordan loop kept here as the oracle.  `nullspace`, `in_span`
-and `span_equal` stop after the forward pass when the rank answers them, so
-their oracle answers are built here from the oracle's (rows, pivots).
+`rref` eliminates over ints and returns int rows, each a multiple of its
+reduced echelon row; the reduced row echelon form is unique, so each row
+over its pivot must agree exactly with the plain Fraction Gauss-Jordan loop
+kept here as the oracle.  `nullspace`, `in_span` and `span_equal` stop after
+the forward pass when the rank answers them, so their oracle answers are
+built here from the oracle's (rows, pivots).
 """
 
 import random
@@ -111,8 +112,10 @@ def test_rref_matches_fraction_oracle():
         rows, pivots = rref(matrix)
         assert matrix == before
         oracle_rows, oracle_pivots = rref_fraction_oracle(matrix)
-        assert (rows, pivots) == (oracle_rows[:len(oracle_pivots)], oracle_pivots), matrix
-        assert all(type(v) is Fraction for row in rows for v in row)
+        assert pivots == oracle_pivots and len(rows) == len(pivots), matrix
+        assert all(type(v) is int for row in rows for v in row)
+        reduced = [[Fraction(v, row[p]) for v in row] for row, p in zip(rows, pivots)]
+        assert reduced == oracle_rows[:len(oracle_pivots)], matrix
 
 
 def oracle_nullspace(matrix, ncols):
