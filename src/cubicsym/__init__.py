@@ -21,9 +21,8 @@ from importlib import import_module
 from .forms import CubicForm, Mat3, SingularTransformError, tau0_upper_bound
 from .killing import (KillingSystem, SymmetryAlgebra, build_system,
                       killing_operator, solve, verify_killing)
-from .liealg import (ColinearityVerdict, DependentBasisError, InvariantSeries,
-                     NotClosedError, StructureConstants, bracket, colinearity,
-                     invariants, solvable_pair, structure_constants)
+from .liealg import (DependentBasisError, InvariantSeries, NotClosedError,
+                     StructureConstants, bracket, invariants, structure_constants)
 from .classify import (ClassificationReport, ComparisonVerdict, SymmetryClass,
                        classify, compare, NOT_EQUIVALENT, POSSIBLY_EQUIVALENT)
 
@@ -31,9 +30,8 @@ __all__ = [
     "CubicForm", "Mat3", "SingularTransformError", "tau0_upper_bound",
     "KillingSystem", "SymmetryAlgebra", "build_system", "killing_operator",
     "solve", "verify_killing",
-    "ColinearityVerdict", "DependentBasisError", "InvariantSeries",
-    "NotClosedError", "StructureConstants", "bracket", "colinearity",
-    "invariants", "solvable_pair", "structure_constants",
+    "DependentBasisError", "InvariantSeries", "NotClosedError",
+    "StructureConstants", "bracket", "invariants", "structure_constants",
     "ClassificationReport", "ComparisonVerdict", "SymmetryClass", "classify",
     "compare", "NOT_EQUIVALENT", "POSSIBLY_EQUIVALENT",
     "catalog",

@@ -122,6 +122,9 @@ def invariants(A):
                            delta=Fraction(e3, d ** 3))
 
 
+# no command calls _nth_root, ColinearityVerdict or colinearity (nor needs the
+# isqrt import), but perfbench/workloads.py's covariance probe times
+# liealg.colinearity by name, so they stay here while the benchmark reads it
 def _nth_root(x, n):
     """Exact rational n-th root, or None.  Negative x allowed for odd n."""
     x = Fraction(x)
@@ -203,24 +206,3 @@ def colinearity(s1, s2):
                                   reason="forced C^2 is negative")
     return ColinearityVerdict(kind="real", C=_nth_root(c2, 2), C_squared=c2,
                               reason="determined up to sign by even powers")
-
-
-def solvable_pair(basis):
-    """Basis (X1, X2) of a 2-dimensional nonabelian algebra with
-    bracket(X1, X2) = (3/2) X2.  The structure constants of the basis A, B
-    give [A, B] = alpha A + beta B, and X2, spanning the derived algebra, is
-    alpha A + beta B over its first nonzero entry.  [A, X2] = beta X2 and
-    [B, X2] = -alpha X2, so X1 is A (3/2)/beta if beta != 0, else
-    B (3/2)/(-alpha): [g, g] is an ideal, and a nonabelian algebra has
-    (alpha, beta) != 0, so no case is left."""
-    if len(basis) != 2:
-        raise ValueError("expected a 2-dimensional algebra")
-    A, B = basis
-    c = structure_constants(basis).c
-    alpha, beta = c[0][0][1], c[1][0][1]
-    if alpha == beta == 0:
-        raise ValueError("algebra is not 2-dimensional nonabelian")
-    X1, mu = (A, beta) if beta else (B, -alpha)
-    X2 = A.scale(alpha) + B.scale(beta)
-    pivot = next(v for v in X2.flatten() if v)
-    return X1.scale(Fraction(3, 2) / mu), X2.scale(1 / pivot)

@@ -12,16 +12,18 @@ from fractions import Fraction
 
 import pytest
 
-from cubicsym import POSSIBLY_EQUIVALENT, CubicForm, Mat3, bracket, classify, colinearity, \
-    compare, invariants, solvable_pair, solve, structure_constants, \
-    tau0_upper_bound, verify_killing
+from cubicsym import POSSIBLY_EQUIVALENT, CubicForm, Mat3, bracket, classify, compare, \
+    invariants, solve, structure_constants, tau0_upper_bound, verify_killing
 from cubicsym.catalog import KNOWN_DISCREPANCIES, get_entry, \
     projective_table, verify_all, verify_branch
+from cubicsym.liealg import colinearity
 from cubicsym.properties import (suite_cayley_hamilton,
                                  suite_conjugation_invariance,
                                  suite_evaluate_pullback,
                                  suite_kernel_covariance, suite_lie_closure,
                                  suite_radical_covariance)
+
+from lie_series import solvable_pair
 
 
 def instantiate(entry, overrides=None):

@@ -74,16 +74,29 @@ def orbits(maps):
     return out
 
 
+def generator_maps(digits):
+    """Index maps of (1 2), (1 2 3) and the sign of x_1, which generate all
+    48 signed permutations."""
+    return [image_indices((2, 1, 3), (1, 1, 1), digits),
+            image_indices((2, 3, 1), (1, 1, 1), digits),
+            image_indices((1, 2, 3), (-1, 1, 1), digits)]
+
+
+def representatives():
+    """The 1,398 census representatives, the least box form of each orbit,
+    in orbit order."""
+    digits = box_digits()
+    return [CubicForm(*(d - 1 for d in digits[min(orbit)]))
+            for orbit in orbits(generator_maps(digits))]
+
+
 def test_census_by_orbit():
     labels = [CODES[c] for c in "".join(LABELS.read_text().split())]
     assert len(labels) == N
     assert Counter(labels) == HISTOGRAM
 
-    # (1 2), (1 2 3) and the sign of x_1 generate all 48 signed permutations
     digits = box_digits()
-    maps = [image_indices((2, 1, 3), (1, 1, 1), digits),
-            image_indices((2, 3, 1), (1, 1, 1), digits),
-            image_indices((1, 2, 3), (-1, 1, 1), digits)]
+    maps = generator_maps(digits)
     for image in maps:
         assert sorted(image) == list(range(N))
         assert all(labels[image[i]] == labels[i] for i in range(N))

@@ -207,13 +207,17 @@ def _rational_invertible(rng):
             return T
 
 
+def catalog_forms():
+    """The 77 catalog branches, then the 22 projective samples."""
+    return [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()] \
+        + [entry.build(sample.params) for entry in PROJECTIVE_ENTRIES for sample in entry.samples]
+
+
 def rational_report_forms():
-    """The 77 catalog branches and the 22 projective samples, then one
-    seeded rational pullback of each: 198 forms, many of them with
-    denominators in their kernels, radicals and structure constants."""
-    forms = [entry.build(branch.params) for entry in ENTRIES for branch in entry.branches()]
-    forms += [entry.build(sample.params)
-              for entry in PROJECTIVE_ENTRIES for sample in entry.samples]
+    """The forms of catalog_forms(), then one seeded rational pullback of
+    each: 198 forms, many of them with denominators in their kernels,
+    radicals and structure constants."""
+    forms = catalog_forms()
     rng = random.Random(34)
     return forms + [g.pullback(_rational_invertible(rng)) for g in forms]
 

@@ -51,13 +51,12 @@ def test_public_names():
     # adding or removing a public name takes a deliberate edit here
     import cubicsym
     assert sorted(cubicsym.__all__) == [
-        "ClassificationReport", "ColinearityVerdict", "ComparisonVerdict", "CubicForm",
+        "ClassificationReport", "ComparisonVerdict", "CubicForm",
         "DependentBasisError", "InvariantSeries", "KillingSystem", "Mat3",
         "NOT_EQUIVALENT", "NotClosedError", "POSSIBLY_EQUIVALENT",
         "SingularTransformError", "StructureConstants", "SymmetryAlgebra",
         "SymmetryClass", "bracket", "build_system", "catalog", "classify",
-        "colinearity", "compare", "invariants",
-        "killing_operator", "solvable_pair", "solve", "structure_constants",
+        "compare", "invariants", "killing_operator", "solve", "structure_constants",
         "tau0_upper_bound", "verify_killing",
     ]
 

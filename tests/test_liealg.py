@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from cubicsym import CubicForm, Mat3, bracket, colinearity, invariants, \
-    solvable_pair, solve, structure_constants
+from cubicsym import CubicForm, Mat3, bracket, invariants, solve, structure_constants
 from cubicsym.liealg import ColinearityVerdict, DependentBasisError, NotClosedError, \
-    StructureConstants, _nth_root
+    StructureConstants, _nth_root, colinearity
 from cubicsym.catalog import ENTRIES
 from cubicsym.properties import random_form, random_invertible, random_matrix
 
+from lie_series import solvable_pair
 from test_linalg import rref_fraction_oracle
 
 # rank and coordinates reduce with test_linalg's Fraction Gauss-Jordan

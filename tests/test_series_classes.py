@@ -81,9 +81,10 @@ from math import gcd
 
 import pytest
 
-from cubicsym import POSSIBLY_EQUIVALENT, CubicForm, Mat3, catalog, classify, colinearity, \
-    compare, invariants, killing_operator
+from cubicsym import POSSIBLY_EQUIVALENT, CubicForm, Mat3, catalog, classify, compare, \
+    invariants, killing_operator
 from cubicsym.forms import COMPONENT_NAMES, TRIPLE_TO_NAME
+from cubicsym.liealg import colinearity
 from cubicsym.linalg import in_span, nullspace, rref, span_equal
 
 R = Mat3([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
